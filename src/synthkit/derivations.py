@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .measures import Exponential, Measure, convolve, neg_point
-from .polynomials import Polynomial, symbolic_difference
+from .polynomials import Polynomial
 from .scalars import ZERO, GaussianRational
 
 
@@ -64,20 +64,10 @@ class Derivation:
         return Derivation(self.poly * other.poly)
 
     def is_order_at_most(self, n: int) -> bool:
-        """Degree test, cross-checked by symbolic difference annihilation."""
+        """Whether the generating polynomial has total degree at most n."""
         if n < 0:
             raise ValueError("order bound must be a natural number")
-        degree = self.poly.degree()
-        if degree is None:
-            return True
-        answer = degree <= n
-        if answer:
-            if not symbolic_difference(self.poly, degree + 1).is_zero():
-                raise AssertionError("degree bound not confirmed symbolically")
-        else:
-            if symbolic_difference(self.poly, n + 1).is_zero():
-                raise AssertionError("symbolic difference vanished early")
-        return answer
+        return self.order <= n
 
     def leibniz_defect(
         self, mu: Measure, nu: Measure, c: Exponential

@@ -8,14 +8,11 @@ basis lists are kept in sorted order, so results are deterministic.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, grevlex_key
 from .scalars import GaussianRational
-
-
-def _grevlex(alpha: tuple):
-    return (sum(alpha), tuple(-a for a in reversed(alpha)))
 
 
 class GrevlexOrder:
@@ -23,7 +20,7 @@ class GrevlexOrder:
         self.dim = dim
 
     def key(self, alpha: tuple):
-        return _grevlex(alpha)
+        return grevlex_key(alpha)
 
 
 class BlockOrder:
@@ -37,7 +34,7 @@ class BlockOrder:
     def key(self, alpha: tuple):
         e = tuple(alpha[i] for i in self.elim)
         k = tuple(alpha[i] for i in self.keep)
-        return (_grevlex(e), _grevlex(k))
+        return (grevlex_key(e), grevlex_key(k))
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -204,14 +201,10 @@ def standard_monomials(basis: list, order):
     if any(b is None for b in bounds):
         return None
     out = []
-    grid = [[]]
-    for b in bounds:
-        grid = [g + [v] for g in grid for v in range(b)]
-    for candidate in grid:
-        mono = tuple(candidate)
+    for mono in itertools.product(*(range(b) for b in bounds)):
         if not any(_divides(lm, mono) for lm in lms):
             out.append(mono)
-    return sorted(out, key=_grevlex)
+    return sorted(out, key=grevlex_key)
 
 
 def eliminate(polys: Iterable, dim: int, keep: int) -> list:

@@ -9,6 +9,7 @@ member of the ideal.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .linalg import RowSpace, nullspace
 from .measures import Exponential, Measure, neg_point
 from .polynomials import Polynomial, grevlex_key, monomials_up_to
 from .scalars import ONE, ZERO, GaussianRational
-from .univariate import ApproxRoot, find_roots
+from .univariate import ApproxRoot, _to_mpc, find_roots
 from .univariate import gcd as dense_gcd
 
 
@@ -189,7 +190,7 @@ class IdealHandle:
             )
         exact_out = []
         approx_out = []
-        for combo in _product(per_coordinate):
+        for combo in itertools.product(*per_coordinate):
             if all(kind == "exact" for kind, _ in combo):
                 base = Exponential([value for _, value in combo])
                 if all(g.evaluate(base).is_zero() for g in self.generators):
@@ -216,27 +217,13 @@ class IdealHandle:
                             certified=True,
                         )
                     )
-                    point.append(
-                        mpmath.mpc(
-                            mpmath.mpf(value.re.numerator) / value.re.denominator,
-                            mpmath.mpf(value.im.numerator) / value.im.denominator,
-                        )
-                    )
                 else:
                     coords.append(value)
-                    point.append(
-                        mpmath.mpc(
-                            mpmath.mpf(value.re.numerator) / value.re.denominator,
-                            mpmath.mpf(value.im.numerator) / value.im.denominator,
-                        )
-                    )
+                point.append(_to_mpc(value))
             for g in self.generators:
                 total = mpmath.mpc(0)
                 for alpha, v in g.terms.items():
-                    term = mpmath.mpc(
-                        mpmath.mpf(v.re.numerator) / v.re.denominator,
-                        mpmath.mpf(v.im.numerator) / v.im.denominator,
-                    )
+                    term = _to_mpc(v)
                     for x, a in zip(point, alpha):
                         term *= x**a
                     total += term
@@ -249,6 +236,8 @@ class IdealHandle:
         if c.dim != self.dim:
             raise DimensionMismatch("dimension mismatch")
         if cutoff is not None:
+            if cutoff < 0:
+                raise ValueError("cutoff must be a natural number")
             polys = self._dual_polys(c, cutoff)
             low = sum(
                 1 for q in polys if (q.degree() or 0) <= cutoff - 1
@@ -288,7 +277,7 @@ class IdealHandle:
         columns = monomials_up_to(self.dim, cutoff)
         col_index = {m: i for i, m in enumerate(columns)}
         rows = []
-        grid = _grid(self.dim, cutoff)
+        grid = list(itertools.product(range(cutoff + 1), repeat=self.dim))
         for g in self.generators:
             if g.is_zero():
                 continue
@@ -341,20 +330,6 @@ class DualSpaceBasis:
         return len(self.polys)
 
 
-def _grid(dim: int, cutoff: int) -> list:
-    grid = [()]
-    for _ in range(dim):
-        grid = [g + (v,) for g in grid for v in range(cutoff + 1)]
-    return grid
-
-
-def _product(per_coordinate: list):
-    combos = [()]
-    for options in per_coordinate:
-        combos = [c + (o,) for c in combos for o in options]
-    return combos
-
-
 def member(I: IdealHandle, L: LaurentPoly) -> bool:
     return I.contains(L)
 
@@ -382,22 +357,13 @@ def vanishing_order(L: LaurentPoly, c: Exponential) -> int:
 def max_ideal_power_member(L: LaurentPoly, c: Exponential, n: int) -> bool:
     """Membership in the (n+1)-st power of the maximal ideal at c.
 
-    Computed from the vanishing order and cross-checked against the
-    moment conditions of every monomial of degree at most n.
+    L lies in it exactly when it vanishes at c to order at least n + 1.
     """
     if n < 0:
         raise ValueError("power index must be a natural number")
     if L.is_zero():
         return True
-    answer = vanishing_order(L, c) >= n + 1
-    mu = inverse_transform(L)
-    by_moments = all(
-        moment(mu, Polynomial(L.dim, {beta: ONE}), c).is_zero()
-        for beta in monomials_up_to(L.dim, n)
-    )
-    if answer != by_moments:
-        raise AssertionError("derivative and moment routes disagree")
-    return answer
+    return vanishing_order(L, c) >= n + 1
 
 
 def difference_closure(p: Polynomial) -> list:
@@ -452,9 +418,8 @@ def derivation_ideal_member(
     """Membership in the ideal of transforms killed at c by the derivation
     with generating polynomial p and all its difference companions.
 
-    Two equivalent condition families are evaluated: moments of the
-    difference closure itself, and moments of the closure re-based at the
-    origin; they must agree whenever the transform vanishes at c.
+    The conditions are that the transform vanishes at c and that the
+    moments of p and of every member of its difference closure vanish.
     """
     if p.dim != c.dim or p.dim != L.dim:
         raise DimensionMismatch("dimension mismatch")
@@ -463,17 +428,9 @@ def derivation_ideal_member(
         return False
     if p.is_zero():
         return True
-    closure = difference_closure(p)
-    direct = all(moment(mu, w, c).is_zero() for w in closure) and moment(
-        mu, p, c
-    ).is_zero()
-    rebased = all(
-        moment(mu, w - Polynomial.constant(p.dim, w.constant_term()), c).is_zero()
-        for w in closure
-    ) and moment(mu, p, c).is_zero()
-    if direct != rebased:
-        raise AssertionError("difference closure routes disagree")
-    return direct
+    return moment(mu, p, c).is_zero() and all(
+        moment(mu, w, c).is_zero() for w in difference_closure(p)
+    )
 
 
 def annihilates_translates(mu: Measure, f: ExpPolynomial) -> bool:

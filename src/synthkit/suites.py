@@ -17,7 +17,13 @@ from .exppoly import ExpPolynomial, act, frechet_order
 from .fourier import LaurentPoly, inverse_transform, transform
 from .ideals import IdealHandle, derivation_ideal_member, annihilates_translates
 from .linalg import RowSpace
-from .measures import Exponential, Measure, convolve, trivial_exponential
+from .measures import (
+    Exponential,
+    Measure,
+    convolve,
+    difference_product,
+    trivial_exponential,
+)
 from .polynomials import Polynomial, monomials_up_to
 from .scalars import ONE, ZERO, GaussianRational
 from .synthesis import (
@@ -118,6 +124,47 @@ def suite_transform_homomorphism(rng: random.Random, trials: int = 200) -> Suite
     return result
 
 
+def _sample_shifts(dim: int, length: int) -> list:
+    """Small deterministic family of shift tuples of the given length."""
+    fills = [tuple((s * ((i + j) % 3 + 1)) for i in range(dim)) for j, s in
+             enumerate((1, -1, 2, 1, -2))]
+    tuples = []
+    for start in range(2):
+        tuples.append([fills[(start + k) % len(fills)] for k in range(length)])
+    units = []
+    for i in range(dim):
+        e = [0] * dim
+        e[i] = 1
+        units.append(tuple(e))
+    tuples.append([units[k % dim] for k in range(length)])
+    return tuples
+
+
+def frechet_order_error(f: ExpPolynomial, n: int) -> str | None:
+    """Check the order n of a single-term f against difference products.
+
+    Sampled shift tuples of length n+1 must annihilate f, and for n > 0 the
+    unit steps along a top-degree monomial of its polynomial part, a tuple
+    of length n, must not. Returns the first disagreement, or None.
+    """
+    exponential, poly = f.terms[0]
+    for ys in _sample_shifts(f.dim, n + 1):
+        if not act(difference_product(exponential, ys), f).is_zero():
+            return "difference product failed to annihilate"
+    if n > 0:
+        alpha = max(poly.terms, key=lambda a: (sum(a), a))
+        ys = []
+        for i, a in enumerate(alpha):
+            e = [0] * f.dim
+            e[i] = 1
+            ys.extend([tuple(e)] * a)
+        if len(ys) != n:
+            return f"top-degree witness has length {len(ys)}, not {n}"
+        if act(difference_product(exponential, ys), f).is_zero():
+            return "witness tuple unexpectedly annihilates"
+    return None
+
+
 def suite_frechet_order(rng: random.Random, trials: int = 60) -> SuiteResult:
     result = SuiteResult("frechet-order", trials)
     for _ in range(trials):
@@ -126,10 +173,10 @@ def suite_frechet_order(rng: random.Random, trials: int = 60) -> SuiteResult:
         c = _exponential(rng, dim)
         f = ExpPolynomial.single(c, p)
         expected = p.degree()
-        try:
-            order = frechet_order(f)
-        except AssertionError as exc:
-            result.failures.append({"f": repr(f), "error": str(exc)})
+        order = frechet_order(f)
+        error = frechet_order_error(f, order)
+        if error is not None:
+            result.failures.append({"f": repr(f), "error": error})
             continue
         if order != expected:
             result.failures.append(

@@ -9,6 +9,7 @@ route that spans must match.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
@@ -218,9 +219,7 @@ def window_oracle(measures: Iterable, box: Iterable) -> WindowSolution:
     for lo, hi in box:
         if lo > hi:
             raise WindowTooSmall("empty window side")
-    points = [()]
-    for lo, hi in box:
-        points = [p + (v,) for p in points for v in range(lo, hi + 1)]
+    points = list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
     point_index = {p: i for i, p in enumerate(points)}
     rows = []
     for mu in measures:
@@ -236,10 +235,8 @@ def window_oracle(measures: Iterable, box: Iterable) -> WindowSolution:
             raise WindowTooSmall(
                 "window cannot hold the support of every generator"
             )
-        positions = [()]
-        for lo, hi in position_sides:
-            positions = [p + (v,) for p in positions for v in range(lo, hi + 1)]
-        for x in positions:
+        sides = (range(lo, hi + 1) for lo, hi in position_sides)
+        for x in itertools.product(*sides):
             row = [ZERO] * len(points)
             for y, v in mu.coeffs.items():
                 u = sub_points(x, y)

@@ -100,6 +100,14 @@ def test_dual_space_cutoff_zero_is_inconclusive(capsys, monkeypatch):
     assert doc["inconclusive"] is True
 
 
+def test_dual_space_negative_cutoff_is_invalid(capsys, monkeypatch):
+    code, out = run_cli(capsys, monkeypatch, "dual-space (z-1)^2 1\n", "--cutoff", "-1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["code"] == "invalid-value"
+    assert "stabilized" not in doc
+
+
 def test_apply_derivation(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "apply-derivation x d[1] 2\n")
     assert code == 0

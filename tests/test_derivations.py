@@ -3,6 +3,7 @@ order, Leibniz defect, and the order-lowering recursion."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from synthkit import (
     trivial_exponential,
 )
 from synthkit.measures import neg_point
+from synthkit.polynomials import symbolic_difference
 from synthkit.scalars import GaussianRational
 
 from conftest import dims, exponentials, measures, points, polynomials
@@ -58,6 +60,26 @@ def test_order_and_normalization():
     assert D.poly == x_var()
     # order-0 keeps its constant
     assert Derivation(Polynomial.constant(1, 7)).poly == Polynomial.constant(1, 7)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_order_bound_matches_symbolic_difference(dim):
+    # p has order at most n exactly when every n+1 fold difference kills it.
+    x = [x_var(dim, i) for i in range(dim)]
+    polys = [Polynomial.zero(dim), Polynomial.constant(dim, 5)]
+    for degree in (1, 2, 3):
+        top = Polynomial.constant(dim, 1)
+        for k in range(degree):
+            top = top * x[k % dim]
+        polys.append(top.scaled(2) + x[-1] - 3)
+    for p in polys:
+        D = Derivation(p)
+        for n in range(D.order + 2):
+            expected = symbolic_difference(D.poly, n + 1).is_zero()
+            assert D.is_order_at_most(n) is expected
+            assert expected is (n >= D.order)
+    with pytest.raises(ValueError):
+        Derivation(x[0]).is_order_at_most(-1)
 
 
 def test_positive_order_vanishes_on_unit():

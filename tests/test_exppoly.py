@@ -21,6 +21,7 @@ from synthkit import (
 )
 from synthkit.errors import MultiTermInput
 from synthkit.scalars import GaussianRational
+from synthkit.suites import frechet_order_error
 
 from conftest import dims, exponentials, measures, points, polynomials
 
@@ -67,6 +68,35 @@ def test_frechet_order_examples():
     assert frechet_order(_mono(one, x_poly() * x_poly())) == 2
     assert frechet_order(_mono(Exponential((3,)), Polynomial.constant(1, 5))) == 0
     assert frechet_order(_mono(Exponential((2,)), x_poly())) == 1
+
+
+def _products_of_degree_five_and_six():
+    half, i = GaussianRational(1, 2), GaussianRational(0, 1)
+    x, y = x_poly(2, 0), x_poly(2, 1)
+    f2 = x * x * y + x.scaled(2) - 1
+    g2 = x * y * y - y + half
+    u, v, w = x_poly(3, 0), x_poly(3, 1), x_poly(3, 2)
+    f3 = u * v * w + w * w - 2
+    g3 = v * v * v + u.scaled(i) + 1
+    return [
+        (Exponential((2, half)), f2 * g2, 6),
+        (Exponential((-1, i)), f2 * (x * y - 1), 5),
+        (Exponential((i, -1, GaussianRational(1, 1))), f3 * g3, 6),
+        (trivial_exponential(3), f3 * (u * w + v), 5),
+    ]
+
+
+@pytest.mark.parametrize("c, p, degree", _products_of_degree_five_and_six())
+def test_frechet_order_of_high_degree_products(c, p, degree):
+    # The difference-product characterization on products of the degrees
+    # the product-rule suite reaches.
+    f = _mono(c, p)
+    assert frechet_order(f) == degree
+    assert frechet_order_error(f, degree) is None
+    too_low = frechet_order_error(f, degree - 1)
+    assert too_low == "difference product failed to annihilate"
+    too_high = frechet_order_error(f, degree + 1)
+    assert too_high == f"top-degree witness has length {degree}, not {degree + 1}"
 
 
 def test_frechet_order_rejects_multi_term():
