@@ -12,7 +12,7 @@ from typing import Iterable
 from .errors import DimensionMismatch, MultiTermInput
 from .linalg import RowSpace
 from .measures import Exponential, Measure, check_point, neg_point
-from .polynomials import Polynomial, _binomial_shift, grevlex_key
+from .polynomials import Polynomial, _binomial_shift
 from .scalars import ZERO, GaussianRational
 
 

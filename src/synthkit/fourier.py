@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import DimensionMismatch
-from .measures import Exponential, Measure, check_point, neg_point
-from .polynomials import Polynomial, grevlex_key
+from .measures import Exponential, Measure, neg_point
+from .polynomials import Polynomial
 from .scalars import ONE, ZERO, GaussianRational, _coerce
 
 

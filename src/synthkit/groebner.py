@@ -12,7 +12,6 @@ import itertools
 from typing import Iterable
 
 from .polynomials import Polynomial, grevlex_key
-from .scalars import GaussianRational
 
 
 class GrevlexOrder:

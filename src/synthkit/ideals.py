@@ -13,6 +13,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 from typing import Iterable
 
 import mpmath
@@ -25,7 +26,7 @@ from .errors import (
     PositiveDimensional,
 )
 from .exppoly import ExpPolynomial, translate_closure
-from .fourier import LaurentPoly, inverse_transform, transform
+from .fourier import LaurentPoly, inverse_transform
 from .groebner import (
     GrevlexOrder,
     eliminate,
@@ -35,8 +36,8 @@ from .groebner import (
 )
 from .linalg import RowSpace, nullspace
 from .measures import Exponential, Measure, neg_point
-from .polynomials import Polynomial, grevlex_key, monomials_up_to
-from .scalars import ONE, ZERO, GaussianRational
+from .polynomials import Polynomial, grevlex_key, monomials_of_degree
+from .scalars import ONE, ZERO
 from .univariate import ApproxRoot, _to_mpc, find_roots
 from .univariate import gcd as dense_gcd
 
@@ -232,74 +233,123 @@ class IdealHandle:
         return ApproxExponential(tuple(coords))
 
     def local_dual_space(self, c: Exponential, cutoff: int | None = None):
-        """Moment functionals of bounded degree killing the whole ideal."""
+        """Moment functionals of bounded degree killing the whole ideal.
+
+        They are the local solutions at c reflected (see _local_kernel).
+        With the cutoff omitted, the reported cutoff is the degree at
+        which the dimension stalled.
+        """
         if c.dim != self.dim:
             raise DimensionMismatch("dimension mismatch")
-        if cutoff is not None:
-            if cutoff < 0:
-                raise ValueError("cutoff must be a natural number")
-            polys = self._dual_polys(c, cutoff)
-            low = sum(
-                1 for q in polys if (q.degree() or 0) <= cutoff - 1
-            )
-            return DualSpaceBasis(
-                c=c,
-                cutoff=cutoff,
-                polys=tuple(polys),
-                stabilized=(low == len(polys)),
-                root_in_zero_set=self._is_root(c),
-            )
-        qdim = self.quotient_dimension()
-        if qdim is None:
-            raise DegreeBoundRequired(
-                "ideal is not zero dimensional; pass an explicit cutoff"
-            )
-        previous = len(self._dual_polys(c, 0))
-        k = 1
-        while k <= qdim + 1:
-            polys = self._dual_polys(c, k)
-            if len(polys) == previous:
-                return DualSpaceBasis(
-                    c=c,
-                    cutoff=k,
-                    polys=tuple(polys),
-                    stabilized=True,
-                    root_in_zero_set=self._is_root(c),
-                )
-            previous = len(polys)
-            k += 1
-        raise AssertionError("dual space failed to stabilize under quotient bound")
+        if cutoff is not None and cutoff < 0:
+            raise ValueError("cutoff must be a natural number")
+        message = "ideal is not zero dimensional; pass an explicit cutoff"
+        bound = _quotient_bound(self, message) if cutoff is None else cutoff
+        measures = [inverse_transform(g) for g in self.generators if not g.is_zero()]
+        polys, stall = _local_kernel(measures, c, bound)
+        if cutoff is None:
+            if stall is None:
+                raise AssertionError("dual space failed to stabilize")
+            cutoff = stall
+        # Reflection turns each leading coefficient 1 into +-1, its own inverse.
+        dual = [q.reflect() for q in polys]
+        dual = [q.scaled(q.terms[max(q.terms, key=grevlex_key)]) for q in dual]
+        low = sum(1 for q in dual if (q.degree() or 0) <= cutoff - 1)
+        return DualSpaceBasis(
+            c=c,
+            cutoff=cutoff,
+            polys=tuple(dual),
+            stabilized=(low == len(dual)),
+            root_in_zero_set=self._is_root(c),
+        )
 
     def _is_root(self, c: Exponential) -> bool:
         return all(g.evaluate(c).is_zero() for g in self.generators)
 
-    def _dual_polys(self, c: Exponential, cutoff: int) -> list:
-        columns = monomials_up_to(self.dim, cutoff)
-        col_index = {m: i for i, m in enumerate(columns)}
+
+def _quotient_bound(handle: IdealHandle, message: str) -> int:
+    """The degree bound that an omitted bound or cutoff stands for.
+
+    Every local multiplicity is at most the quotient dimension qdim, so
+    at any point the dimension of the local solutions stalls by degree
+    max(qdim, 1); an ideal without roots (qdim 0) stalls at degree 1.
+    """
+    qdim = handle.quotient_dimension()
+    if qdim is None:
+        raise DegreeBoundRequired(message)
+    return max(qdim, 1)
+
+
+def _local_kernel(measures: list, c: Exponential, bound: int) -> tuple:
+    """Polynomials p of degree at most bound with p(x) c^x annihilated by
+    every measure, and the first degree k >= 1 at which their dimension
+    stalls (None if it grows up to the bound).
+
+    The basis is the canonical kernel basis: ordered by grevlex-leading
+    monomial, leading coefficient one. With w_x = mu(x) c^-x and moments
+    m_b = sum_x w_x x^b, mu annihilates p(x) c^x iff for every g the
+    coefficient of y^g in sum_x w_x p(y - x) vanishes, that is
+    sum_a p_a binom(a, g) (-1)^|a - g| m_(a - g) = 0. The degree grows by
+    one; the weights and each moment are computed once.
+
+    Three facts let this one engine serve solve_at_root, solve_system and
+    IdealHandle.local_dual_space (Mourrain, "Isolated points, duality and
+    residues", JPAA 117-118, 1997):
+
+    1. The dual basis is the solution basis, reflected. q lies in the
+       local dual space of the ideal of transforms at c iff sum_x mu(x)
+       q(x - y) c^-x vanishes for all y, that is iff q(-x) is a local
+       solution. Reflection scales the column of x^b by (-1)^|b|, so the
+       canonical dual basis is each solution reflected and rescaled to
+       grevlex-leading coefficient one.
+    2. The stall theorem. Let S_k be the solutions of degree at most k.
+       The solution space S is closed under differences, so if
+       S_k = S_(k+1) then S = S_k: an element of least degree above k
+       would have a difference of degree k + 1. The canonical basis
+       depends on the space alone, and the columns of degree at most k
+       come first at every larger degree, so stopping at the first stall
+       returns the same polynomials as any larger bound.
+    3. An omitted bound is the bound max(qdim, 1) (_quotient_bound).
+    """
+    dim = c.dim
+    weights = [
+        [(x, v * c.value_at(neg_point(x))) for x, v in mu.coeffs.items()]
+        for mu in measures
+    ]
+    moments: list = [{} for _ in measures]
+    columns: list = []
+    previous = None
+    for k in range(bound + 1):
+        fresh = monomials_of_degree(dim, k)
+        columns.extend(fresh)
+        for pairs, table in zip(weights, moments):
+            for beta in fresh:
+                total = ZERO
+                for x, w in pairs:
+                    power = prod(a**b for a, b in zip(x, beta))
+                    if power:
+                        total = total + w * power
+                table[beta] = total
         rows = []
-        grid = list(itertools.product(range(cutoff + 1), repeat=self.dim))
-        for g in self.generators:
-            if g.is_zero():
-                continue
-            weighted = [(alpha, v * c.value_at(alpha)) for alpha, v in g.terms.items()]
-            for gamma in grid:
+        for table in moments:
+            for gamma in columns:
                 row = [ZERO] * len(columns)
-                for alpha, w in weighted:
-                    base = tuple(-a - t for a, t in zip(alpha, gamma))
-                    for m in columns:
-                        value = 1
-                        for b, e in zip(base, m):
-                            if e:
-                                value *= b**e
-                        row[col_index[m]] = row[col_index[m]] + w * value
+                for j, alpha in enumerate(columns):
+                    if any(a < g for a, g in zip(alpha, gamma)):
+                        continue
+                    diff = tuple(a - g for a, g in zip(alpha, gamma))
+                    binom = prod(comb(a, g) for a, g in zip(alpha, gamma))
+                    row[j] = table[diff] * (-binom if sum(diff) % 2 else binom)
                 rows.append(row)
-        kernel = nullspace(rows, len(columns))
-        polys = []
-        for vec in kernel:
-            terms = {m: v for m, v in zip(columns, vec) if v}
-            polys.append(Polynomial(self.dim, terms))
-        polys.sort(key=lambda q: grevlex_key(max(q.terms, key=grevlex_key)))
-        return polys
+        # One vector per free column, which is its grevlex-leading monomial.
+        polys = [
+            Polynomial(dim, {m: v for m, v in zip(columns, vec) if v})
+            for vec in nullspace(rows, len(columns))
+        ]
+        if len(polys) == previous:
+            return polys, k
+        previous = len(polys)
+    return polys, None
 
 
 @dataclass(frozen=True)
@@ -386,22 +436,14 @@ def difference_closure(p: Polynomial) -> list:
             out[index[m]] = v
         return out
 
-    seeds = []
+    steps = []
     for i in range(p.dim):
-        e = [0] * p.dim
-        e[i] = 1
-        seeds.append(p.difference(tuple(e)))
-        seeds.append(p.difference(tuple(-v for v in e)))
-    for seed in seeds:
+        e = tuple(int(j == i) for j in range(p.dim))
+        steps += [e, tuple(-v for v in e)]
+    for seed in (p.difference(step) for step in steps):
         if not seed.is_zero() and space.add(vec(seed)):
             basis.append(seed)
             work.append(seed)
-    steps = []
-    for i in range(p.dim):
-        e = [0] * p.dim
-        e[i] = 1
-        steps.append(tuple(e))
-        steps.append(tuple(-v for v in e))
     while work:
         g = work.pop()
         for step in steps:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO
 
 
 class RowSpace:

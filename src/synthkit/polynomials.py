@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DimensionMismatch
 from .scalars import ONE, ZERO, GaussianRational, _coerce

@@ -7,6 +7,7 @@ printable counterexample payload instead of raising.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from .derivations import Derivation, compose, moment
 from .exppoly import ExpPolynomial, act, frechet_order
 from .fourier import LaurentPoly, inverse_transform, transform
 from .ideals import IdealHandle, derivation_ideal_member, annihilates_translates
-from .linalg import RowSpace
+from .linalg import RowSpace, vectors_equal_span
 from .measures import (
     Exponential,
     Measure,
@@ -24,7 +25,7 @@ from .measures import (
     difference_product,
     trivial_exponential,
 )
-from .polynomials import Polynomial, monomials_up_to
+from .polynomials import Polynomial, monomials_of_degree, monomials_up_to
 from .scalars import ONE, ZERO, GaussianRational
 from .synthesis import (
     biadditive_demo,
@@ -233,26 +234,22 @@ def suite_derivation_compose(rng: random.Random, trials: int = 100) -> SuiteResu
     return result
 
 
+def _linear_factors(c: Exponential) -> list:
+    """z_i - c_i for each coordinate i: generators of the maximal ideal at c."""
+    return [LaurentPoly.variable(c.dim, i) - v for i, v in enumerate(c.base)]
+
+
 def _max_ideal_power(c: Exponential, n: int, cache: dict) -> IdealHandle:
     key = (c.base, n)
     handle = cache.get(key)
     if handle is None:
         dim = c.dim
-        linear = []
-        for i in range(dim):
-            terms = {}
-            e = tuple(1 if j == i else 0 for j in range(dim))
-            terms[e] = ONE
-            terms[(0,) * dim] = -c.base[i]
-            linear.append(LaurentPoly(dim, terms))
+        linear = _linear_factors(c)
         gens = []
-        for beta in monomials_up_to(dim, n + 1):
-            if sum(beta) != n + 1:
-                continue
+        for beta in monomials_of_degree(dim, n + 1):
             g = LaurentPoly.constant(dim, ONE)
-            for i, e in enumerate(beta):
-                for _ in range(e):
-                    g = g * linear[i]
+            for factor, e in zip(linear, beta):
+                g = g * factor**e
             gens.append(g)
         handle = IdealHandle(gens)
         cache[key] = handle
@@ -278,13 +275,9 @@ def suite_max_ideal_power(rng: random.Random, trials: int = 100) -> SuiteResult:
         n = rng.randint(0, 3)
         if rng.random() < 0.6:
             L = LaurentPoly.constant(dim, ONE)
-            for i in range(dim):
-                terms = {
-                    tuple(1 if j == i else 0 for j in range(dim)): ONE,
-                    (0,) * dim: -c.base[i],
-                }
+            for factor in _linear_factors(c):
                 for _ in range(rng.randint(0, 2)):
-                    L = L * LaurentPoly(dim, terms)
+                    L = L * factor
             L = L * _laurent(rng, dim, 2)
         else:
             L = _laurent(rng, dim, 8)
@@ -312,23 +305,29 @@ def suite_max_ideal_power(rng: random.Random, trials: int = 100) -> SuiteResult:
 
 
 def suite_derivation_ideal(rng: random.Random, trials: int = 100) -> SuiteResult:
+    """Membership by derivation conditions against the translate-span route.
+
+    L vanishes at c to order deg p + 1 along every coordinate (a member),
+    to an order from 1 to deg p (decided by the moment conditions), or is
+    random (mostly cut off by the mass gate).
+    """
     result = SuiteResult("derivation-ideal", trials)
     for _ in range(trials):
         dim = rng.randint(1, 2)
         p = _polynomial(rng, dim, 3)
         c = _exponential(rng, dim)
+        degree = p.degree() or 0
+        linear = _linear_factors(c)
         style = rng.random()
-        if style < 0.4:
-            deep = LaurentPoly.constant(dim, ONE)
-            for i in range(dim):
-                terms = {
-                    tuple(1 if j == i else 0 for j in range(dim)): ONE,
-                    (0,) * dim: -c.base[i],
-                }
-                factor = LaurentPoly(dim, terms)
-                for _ in range((p.degree() or 0) + 1):
-                    deep = deep * factor
-            L = deep * _laurent(rng, dim, 2)
+        if style < 0.7:
+            if style < 0.3:
+                factors = [f for f in linear for _ in range(degree + 1)]
+            else:
+                order = rng.randint(1, max(degree, 1))
+                factors = [rng.choice(linear) for _ in range(order)]
+            L = _laurent(rng, dim, 2)
+            for factor in factors:
+                L = L * factor
         else:
             L = _laurent(rng, dim, 5)
         if L.is_zero():
@@ -441,6 +440,26 @@ def _plane_instance():
     return [(z1 - one) ** 2, z2 - one, (z1 - one) * (z2 - one)]
 
 
+def dual_space_error(gens: list, dual) -> str | None:
+    """Check a local dual basis against the ideal's generators by moments.
+
+    Every dual polynomial q must pair to zero with the inverse transform of
+    g z^gamma for each generator g and each gamma in [0..cutoff]^d. The
+    pairing is a polynomial in gamma of degree at most the cutoff in each
+    coordinate, so vanishing on that box means vanishing on every shift
+    of every generator. Returns the first failure, or None.
+    """
+    dim = dual.c.dim
+    box = list(itertools.product(range(dual.cutoff + 1), repeat=dim))
+    for g in gens:
+        for gamma in box:
+            mu = inverse_transform(g * LaurentPoly(dim, {gamma: ONE}))
+            for q in dual.polys:
+                if not moment(mu, q, dual.c).is_zero():
+                    return f"{q!r} does not kill {g!r} shifted by {gamma}"
+    return None
+
+
 def suite_plane_instance(rng: random.Random, trials: int = 1) -> SuiteResult:
     result = SuiteResult("plane-instance", trials)
     gens = _plane_instance()
@@ -448,37 +467,31 @@ def suite_plane_instance(rng: random.Random, trials: int = 1) -> SuiteResult:
     measures = [inverse_transform(g) for g in gens]
     solution = solve_system(measures, roots=[c])
     basis = solution.bases[0]
-    handle = IdealHandle(gens)
-    dual = handle.local_dual_space(c)
-    x1 = Polynomial.variable(2, 0)
-    expected = [Polynomial.constant(2, ONE), x1]
-    layout = monomials_up_to(2, 2)
-    index = {m: i for i, m in enumerate(layout)}
+    dual = IdealHandle(gens).local_dual_space(c)
+    index = {m: i for i, m in enumerate(monomials_up_to(2, 2))}
 
-    def vectors(polys):
-        space = RowSpace(len(layout))
+    def rows(polys):
+        out = []
         for q in polys:
-            row = [ZERO] * len(layout)
+            out.append([ZERO] * len(index))
             for m, v in q.terms.items():
-                row[index[m]] = v
-            space.add(row)
-        return space
+                out[-1][index[m]] = v
+        return out
 
-    got = vectors(basis.polys)
-    want = vectors(expected)
-    same_solution = got.rank == want.rank == 2 and all(
-        got.contains(row) for row in want.basis()
-    )
-    dual_space = vectors(dual.polys)
-    same_dual = dual_space.rank == 2 and all(
-        dual_space.contains(row) for row in got.basis()
-    )
-    if not (same_solution and same_dual and solution.total_dimension == 2):
+    want = rows([Polynomial.constant(2, ONE), Polynomial.variable(2, 0)])
+    error = dual_space_error(gens, dual)
+    if not (
+        vectors_equal_span(rows(basis.polys), want, len(index))
+        and vectors_equal_span(rows(dual.polys), want, len(index))
+        and error is None
+        and solution.total_dimension == 2
+    ):
         result.failures.append(
             {
                 "solution": [repr(q) for q in basis.polys],
                 "dual": [repr(q) for q in dual.polys],
                 "dimension": solution.total_dimension,
+                "error": error,
             }
         )
     return result

@@ -11,21 +11,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable
 
 from .derivations import moment
-from .errors import (
-    DegreeBoundRequired,
-    DimensionMismatch,
-    SpuriousRoot,
-    WindowTooSmall,
-)
+from .errors import DimensionMismatch, SpuriousRoot, WindowTooSmall
 from .exppoly import ExpPolynomial, act, translate_span_dim
 from .fourier import inverse_transform, transform
-from .ideals import IdealHandle
+from .ideals import IdealHandle, _local_kernel, _quotient_bound
 from .measures import Exponential, Measure, sub_points, trivial_exponential
-from .polynomials import Polynomial, grevlex_key, monomials_up_to
+from .polynomials import Polynomial
 from .scalars import ONE, ZERO
 from .linalg import nullspace
 
@@ -75,38 +69,7 @@ def _check_measures(measures: list, dim: int | None = None) -> int:
     return dim
 
 
-def _solution_polys(measures: list, c: Exponential, degbound: int) -> list:
-    """Kernel of the moment system on coefficients of p, deg p <= degbound."""
-    dim = c.dim
-    columns = monomials_up_to(dim, degbound)
-    col_index = {m: i for i, m in enumerate(columns)}
-    moments = []
-    for mu in measures:
-        mom = {}
-        for beta in columns:
-            mom[beta] = moment(mu, Polynomial(dim, {beta: ONE}), c)
-        moments.append(mom)
-    rows = []
-    for mom in moments:
-        for gamma in columns:
-            row = [ZERO] * len(columns)
-            for alpha in columns:
-                if any(a < g for a, g in zip(alpha, gamma)):
-                    continue
-                diff = tuple(a - g for a, g in zip(alpha, gamma))
-                binom = 1
-                for a, g in zip(alpha, gamma):
-                    binom *= comb(a, g)
-                sign = -1 if sum(diff) % 2 else 1
-                row[col_index[alpha]] = mom[diff] * (binom * sign)
-            rows.append(row)
-    kernel = nullspace(rows, len(columns))
-    polys = []
-    for vec in kernel:
-        terms = {m: v for m, v in zip(columns, vec) if v}
-        polys.append(Polynomial(dim, terms))
-    polys.sort(key=lambda q: grevlex_key(max(q.terms, key=grevlex_key)))
-    return polys
+_UNBOUNDED = "system is not zero dimensional; pass an explicit degree bound"
 
 
 def solve_at_root(
@@ -114,45 +77,27 @@ def solve_at_root(
 ) -> SolutionBasis:
     """Basis of {p : deg p <= degbound, every measure annihilates p c^x}.
 
-    With degbound omitted the degree is grown until the dimension stalls,
-    which certifies completeness; the stall is guaranteed to happen when
-    the transform ideal is zero dimensional.
+    The degree grows from 0 and stops where the dimension first stalls,
+    which already gives the whole bounded space (ideals._local_kernel), so
+    the matrices are sized by the root and not by the bound. An omitted
+    degbound stands for the quotient dimension of the transform ideal,
+    which bounds every local multiplicity, so then nothing truncates.
     """
     measures = list(measures)
     _check_measures(measures, c.dim)
-    if degbound is not None:
-        if degbound < 0:
-            raise ValueError("degree bound must be a natural number")
-        polys = _solution_polys(measures, c, degbound)
-        truncated = any((q.degree() or 0) == degbound for q in polys)
-        basis = SolutionBasis(
-            root=c,
-            polys=tuple(polys),
-            multiplicity=len(polys),
-            truncated=truncated,
+    if degbound is None:
+        degbound = _quotient_bound(
+            IdealHandle([transform(mu) for mu in measures]), _UNBOUNDED
         )
-    else:
-        handle = IdealHandle([transform(mu) for mu in measures])
-        qdim = handle.quotient_dimension()
-        if qdim is None:
-            raise DegreeBoundRequired(
-                "system is not zero dimensional; pass an explicit degree bound"
-            )
-        previous = len(_solution_polys(measures, c, 0))
-        k = 1
-        polys = None
-        while k <= qdim + 1:
-            grown = _solution_polys(measures, c, k)
-            if len(grown) == previous:
-                polys = grown
-                break
-            previous = len(grown)
-            k += 1
-        if polys is None:
-            raise AssertionError("solution space failed to stabilize")
-        basis = SolutionBasis(
-            root=c, polys=tuple(polys), multiplicity=len(polys), truncated=False
-        )
+    elif degbound < 0:
+        raise ValueError("degree bound must be a natural number")
+    polys, _ = _local_kernel(measures, c, degbound)
+    basis = SolutionBasis(
+        root=c,
+        polys=tuple(polys),
+        multiplicity=len(polys),
+        truncated=any((q.degree() or 0) == degbound for q in polys),
+    )
     for q in basis.polys:
         f = ExpPolynomial.single(c, q)
         for mu in measures:
@@ -169,7 +114,8 @@ def solve_system(
     """One solution basis per certified exact root.
 
     Roots come from the zero set of the transform ideal when omitted;
-    approximate roots are carried through as reports only.
+    approximate roots are carried through as reports only. An omitted
+    degbound stands for the quotient dimension, as in solve_at_root.
     """
     measures = list(measures)
     dim = _check_measures(measures)
@@ -189,16 +135,12 @@ def solve_system(
                 raise SpuriousRoot(f"{c!r} is not a common root of the system")
     if degbound is None:
         # One quotient-dimension bound serves every root: each local
-        # multiplicity is at most the global quotient dimension, and no
-        # basis element can reach that degree, so nothing truncates.
+        # multiplicity is at most the quotient dimension, so nothing
+        # truncates, and each root's solve stops where its own dimension
+        # stalls, so its matrices stay sized by that root.
         if handle is None:
             handle = IdealHandle([transform(mu) for mu in measures])
-        qdim = handle.quotient_dimension()
-        if qdim is None:
-            raise DegreeBoundRequired(
-                "system is not zero dimensional; pass an explicit degree bound"
-            )
-        degbound = qdim
+        degbound = _quotient_bound(handle, _UNBOUNDED)
     roots = sorted(roots, key=lambda e: e.sort_key())
     bases = tuple(solve_at_root(measures, c, degbound) for c in roots)
     return SystemSolution(bases=bases, approximate=approx)

@@ -143,3 +143,15 @@ def test_criterion_11_cli_determinism(capsys, monkeypatch):
                 f"criterion 11 [{verdict}] CLI determinism: "
                 f"{len(CORPUS)} scripts, two runs byte-equal"
             )
+
+
+def test_corpus_matches_golden_outputs(capsys, monkeypatch):
+    """Every corpus script prints the bytes recorded in scripts/expected/.
+
+    Criterion 11 compares two runs of the same code; this pins the output
+    itself, so a refactor that changes any byte of a result fails here.
+    """
+    monkeypatch.delenv("SYNTHKIT_SEED", raising=False)
+    for name, out in _run_corpus(capsys).items():
+        golden = (SCRIPTS / "expected" / name).with_suffix(".json")
+        assert out == golden.read_text(encoding="utf-8"), name

@@ -28,6 +28,7 @@ from synthkit.ideals import (
     vanishing_order,
 )
 from synthkit.scalars import GaussianRational
+from synthkit.synthesis import solve_at_root
 
 from conftest import dims, laurents, points
 
@@ -253,6 +254,41 @@ def test_dual_dimension_sums_to_quotient_dimension():
         I.local_dual_space(e).dimension for e in I.zero_set()[0]
     )
     assert total == I.quotient_dimension() == 3
+
+
+def test_dual_space_is_the_reflected_solution_space():
+    # Near (1, 1), z1 - 1 = (z2 - 1)^2 and (z2 - 1)^3 = 0: the local
+    # solutions are 1, x2 and x2^2 + 2 x1, and the dual space holds their
+    # reflections, rescaled to grevlex-leading coefficient one.
+    z1, z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    I = IdealHandle([(z1 - 1) - (z2 - 1) ** 2, (z2 - 1) ** 3])
+    c = Exponential((gr(1), gr(1)))
+    one = Polynomial.constant(2, gr(1))
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    dual = (one, x2, x2 * x2 - x1.scaled(gr(2)))
+    basis = I.local_dual_space(c)
+    assert basis.polys == dual
+    assert basis.cutoff == 3 and basis.stabilized
+    assert I.local_dual_space(c, cutoff=2).polys == dual
+    assert I.local_dual_space(c, cutoff=5).polys == dual
+    measures = [inverse_transform(g) for g in I.generators]
+    solved = solve_at_root(measures, c)
+    assert solved.polys == (one, x2, x2 * x2 + x1.scaled(gr(2)))
+
+
+def test_dual_space_cutoff_zero():
+    I = IdealHandle([(Z - 1) ** 2])
+    away = I.local_dual_space(exp1(2), cutoff=0)
+    assert away.stabilized
+    assert away.polys == ()
+    assert not I.local_dual_space(exp1(1), cutoff=0).stabilized
+
+
+def test_dual_space_of_unit_ideal_stalls_at_degree_one():
+    basis = IdealHandle([ONE_L]).local_dual_space(exp1(1))
+    assert basis.cutoff == 1
+    assert basis.stabilized
+    assert basis.polys == ()
 
 
 # difference closure and the derivation ideal

@@ -1,11 +1,16 @@
 """Randomized verification suites: registry, seeding, determinism."""
 
+import dataclasses
+
 import pytest
 
+from synthkit import IdealHandle, LaurentPoly, Polynomial
+from synthkit.measures import trivial_exponential
 from synthkit.suites import (
     DEFAULT_SEED,
     SUITES,
     active_seed,
+    dual_space_error,
     run_suite,
 )
 
@@ -69,3 +74,13 @@ def test_trial_count_override():
 def test_cheap_suites_pass_on_alternate_seed():
     for name in ("transform-homomorphism", "derivation-compose", "rank-growth"):
         assert run_suite(name, seed=31337, trials=5).passed
+
+
+def test_dual_space_error_checks_every_shift():
+    z1, z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    gens = [(z1 - 1) ** 2, z2 - 1, (z1 - 1) * (z2 - 1)]
+    dual = IdealHandle(gens).local_dual_space(trivial_exponential(2))
+    assert dual_space_error(gens, dual) is None
+    x2 = Polynomial.variable(2, 1)
+    wrong = dataclasses.replace(dual, polys=dual.polys[:1] + (x2,))
+    assert dual_space_error(gens, wrong) is not None

@@ -12,6 +12,7 @@ from synthkit import (
     Measure,
     Polynomial,
 )
+from synthkit import ideals, linalg
 from synthkit.errors import (
     DegreeBoundRequired,
     SpuriousRoot,
@@ -94,6 +95,24 @@ def test_solve_at_root_explicit_bound_truncation_flag():
     assert not full.truncated
     assert full.multiplicity == 3
 
+
+def test_solve_at_root_matrices_are_sized_by_the_root(monkeypatch):
+    # At (1, 1) the solutions of (z1 - 1)^4, (z2 - 1)^4 have degree at
+    # most 6, so the dimension stalls at degree 7: no matrix is wider than
+    # C(7 + 2, 2) = 36 columns, however large the bound.
+    widths = []
+
+    def spy(matrix, width):
+        widths.append(width)
+        return linalg.nullspace(matrix, width)
+
+    monkeypatch.setattr(ideals, "nullspace", spy)
+    z1, z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    mus = [inverse_transform((z1 - 1) ** 4), inverse_transform((z2 - 1) ** 4)]
+    basis = solve_at_root(mus, Exponential((gr(1), gr(1))), degbound=16)
+    assert basis.multiplicity == 16
+    assert not basis.truncated
+    assert max(widths) == 36
 
 def test_two_variable_plane_system():
     z1, z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
