@@ -1,17 +1,22 @@
 """Buchberger engine over Gaussian rationals.
 
-Orders: graded reverse lexicographic (coordinates in index order) and a
-block order that eliminates a chosen set of variables. Ties in pair
-selection are broken by exponent-vector lexicographic comparison, and all
-basis lists are kept in sorted order, so results are deterministic.
+One order, graded reverse lexicographic with coordinates in index order.
+Ties in pair selection are broken by exponent-vector lexicographic
+comparison, and all basis lists are kept in sorted order, so results are
+deterministic. Elimination needs no second order: for a zero-dimensional
+ideal, `eliminate` reads the generator of I ∩ K[z_i] off normal forms
+against the grevlex basis (the minimal polynomial of z_i on the quotient).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Iterable
 
+from .linalg import RowSpace, nullspace
 from .polynomials import Polynomial, grevlex_key
+from .scalars import ONE, ZERO
 
 
 class GrevlexOrder:
@@ -21,19 +26,9 @@ class GrevlexOrder:
     def key(self, alpha: tuple):
         return grevlex_key(alpha)
 
-
-class BlockOrder:
-    """Eliminates `elim` variables: any monomial touching them dominates."""
-
-    def __init__(self, dim: int, elim: Iterable):
-        self.dim = dim
-        self.elim = tuple(sorted(elim))
-        self.keep = tuple(i for i in range(dim) if i not in self.elim)
-
-    def key(self, alpha: tuple):
-        e = tuple(alpha[i] for i in self.elim)
-        k = tuple(alpha[i] for i in self.keep)
-        return (grevlex_key(e), grevlex_key(k))
+    def heap_key(self, alpha: tuple):
+        """Ascending in this key is descending in the order."""
+        return (-sum(alpha), alpha[::-1])
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -60,9 +55,15 @@ def _prep(basis: list, order) -> list:
 def _normal_form_dict(terms: dict, prepped: list, order) -> dict:
     result: dict = {}
     work = dict(terms)
-    while work:
-        lm = max(work, key=order.key)
-        lc = work.pop(lm)
+    # Leading terms come off a heap; an entry whose term cancelled after it
+    # was queued is skipped, and a term queued twice is processed once.
+    heap = [(order.heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        lm = heapq.heappop(heap)[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
         hit = None
         for g_lm, g_lcinv, g_terms in prepped:
             if _divides(g_lm, lm):
@@ -80,31 +81,28 @@ def _normal_form_dict(terms: dict, prepped: list, order) -> dict:
             key = tuple(x + y for x, y in zip(m, shift))
             c = factor * v
             prev = work.get(key)
-            nv = -c if prev is None else prev - c
+            if prev is None:
+                work[key] = -c
+                heapq.heappush(heap, (order.heap_key(key), key))
+                continue
+            nv = prev - c
             if nv:
                 work[key] = nv
-            elif prev is not None:
+            else:
                 del work[key]
     return result
 
 
-def _s_poly(f: dict, g: dict, order) -> dict:
-    lmf = max(f, key=order.key)
-    lmg = max(g, key=order.key)
+def _s_poly(f: dict, lmf: tuple, g: dict, lmg: tuple) -> dict:
+    """S-polynomial of two monic polynomials with leading monomials lmf, lmg."""
     lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-    out: dict = {}
     shift_f = tuple(l - a for l, a in zip(lcm, lmf))
-    inv_f = f[lmf].inverse()
-    for m, v in f.items():
-        key = tuple(x + y for x, y in zip(m, shift_f))
-        out[key] = v * inv_f
+    out = {tuple(x + y for x, y in zip(m, shift_f)): v for m, v in f.items()}
     shift_g = tuple(l - a for l, a in zip(lcm, lmg))
-    inv_g = g[lmg].inverse()
     for m, v in g.items():
         key = tuple(x + y for x, y in zip(m, shift_g))
-        c = v * inv_g
         prev = out.get(key)
-        nv = -c if prev is None else prev - c
+        nv = -v if prev is None else prev - v
         if nv:
             out[key] = nv
         elif prev is not None:
@@ -136,6 +134,7 @@ def groebner_basis(polys: Iterable, order) -> list:
     basis = [_monic(t, order) for t in basis]
     basis.sort(key=lambda t: order.key(max(t, key=order.key)))
     lms = [max(t, key=order.key) for t in basis]
+    prepped = _prep(basis, order)  # grows with the basis, one entry each
 
     def lcm_of(i, j):
         return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
@@ -151,14 +150,17 @@ def groebner_basis(polys: Iterable, order) -> list:
         # product criterion: coprime leading monomials reduce to zero
         if all(a + b == l for a, b, l in zip(lms[i], lms[j], lcm)):
             continue
-        s = _s_poly(basis[i], basis[j], order)
+        s = _s_poly(basis[i], lms[i], basis[j], lms[j])
         if not s:
             continue
-        nf = _normal_form_dict(s, _prep(basis, order), order)
+        nf = _normal_form_dict(s, prepped, order)
         if not nf:
             continue
-        basis.append(_monic(nf, order))
-        lms.append(max(nf, key=order.key))
+        nf = _monic(nf, order)
+        lm = max(nf, key=order.key)
+        basis.append(nf)
+        lms.append(lm)
+        prepped.append((lm, ONE, nf))
         new = len(basis) - 1
         for k in range(new):
             pairs.add((k, new))
@@ -206,12 +208,42 @@ def standard_monomials(basis: list, order):
     return sorted(out, key=grevlex_key)
 
 
-def eliminate(polys: Iterable, dim: int, keep: int) -> list:
-    """Generators of the ideal intersected with the ring of variable `keep`."""
-    order = BlockOrder(dim, [i for i in range(dim) if i != keep])
-    basis = groebner_basis(polys, order)
-    found = []
-    for g in basis:
-        if all(all(a == 0 for i, a in enumerate(m) if i != keep) for m in g.terms):
-            found.append(g)
-    return found
+def eliminate(basis: list, order, keep: int) -> list:
+    """The monic generator of I ∩ K[z_keep], as a one-element list.
+
+    `basis` is the reduced basis, in `order`, of a zero-dimensional ideal
+    I. The generator is the minimal polynomial of multiplication by z_keep
+    on K[z]/I (Faugère, Gianni, Lazard & Mora, JSC 16, 1993; Cox, Little &
+    O'Shea, Using Algebraic Geometry, ch. 2 §4). The normal forms of 1,
+    z_keep, z_keep^2, ..., each the previous one times z_keep reduced
+    again, are columns over the standard monomials, up to the first that
+    depends on those before. The one free column of their kernel is the
+    last, so the kernel vector is that polynomial, monic. A block order
+    eliminating the other variables gives the same polynomial: its reduced
+    basis meets K[z_keep] in exactly one monic generator of I ∩ K[z_keep].
+    The unit ideal has no standard monomials, so 1 reduces to zero and the
+    result is [1].
+    """
+    std = standard_monomials(basis, order)
+    if std is None:
+        raise ValueError("eliminate needs a zero-dimensional ideal")
+    dim = order.dim
+    index = {m: i for i, m in enumerate(std)}
+    step = tuple(int(j == keep) for j in range(dim))
+    prepped = _prep([g.terms for g in basis], order)
+    space = RowSpace(len(std))
+    columns: list = []
+    nf = _normal_form_dict({(0,) * dim: ONE}, prepped, order)
+    while True:
+        column = [ZERO] * len(std)
+        for m, v in nf.items():
+            column[index[m]] = v
+        columns.append(column)
+        if not space.add(column):
+            break
+        shifted = {tuple(a + b for a, b in zip(m, step)): v for m, v in nf.items()}
+        nf = _normal_form_dict(shifted, prepped, order)
+    rows = [[column[r] for column in columns] for r in range(len(std))]
+    (coeffs,) = nullspace(rows, len(columns))
+    terms = {tuple(k * e for e in step): c for k, c in enumerate(coeffs) if c}
+    return [Polynomial(dim, terms)]

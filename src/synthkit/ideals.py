@@ -171,21 +171,13 @@ class IdealHandle:
             raise PositiveDimensional(
                 "infinite zero set; supply candidate exponentials"
             )
-        polys = self._polynomial_generators()
         per_coordinate = []
         for i in range(self.dim):
-            found = eliminate(polys, self.dim + 1, i)
-            if not found:
-                raise PositiveDimensional(
-                    "infinite zero set; supply candidate exponentials"
-                )
-            dense = []
-            for g in found:
-                coeffs = [ZERO] * (max(m[i] for m in g.terms) + 1)
-                for mono, v in g.terms.items():
-                    coeffs[mono[i]] = v
-                dense = coeffs if not dense else dense_gcd(dense, coeffs)
-            exact, approx = find_roots(dense)
+            (g,) = eliminate(self.groebner(), self._order, i)
+            coeffs = [ZERO] * (max(m[i] for m in g.terms) + 1)
+            for mono, v in g.terms.items():
+                coeffs[mono[i]] = v
+            exact, approx = find_roots(coeffs)
             per_coordinate.append(
                 [("exact", c) for c, _ in exact] + [("approx", a) for a in approx]
             )

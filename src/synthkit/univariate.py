@@ -251,19 +251,29 @@ def find_roots(coeffs: list):
         if degree(work) < 1:
             continue
         remaining = list(work)
-        for value in _numeric_roots(work):
-            if degree(remaining) < 1:
-                break
-            hit = None
-            for cand in _reconstruct(value):
-                if cand and evaluate(remaining, cand).is_zero():
-                    hit = cand
+        values = _numeric_roots(work)
+        # A coarse candidate of one value can be another root, which then
+        # claims that value and leaves its own root unmatched. So passes
+        # repeat on the deflated polynomial until one finds no new root;
+        # the last pass's values seed the enclosures.
+        while True:
+            start = degree(remaining)
+            for value in values:
+                if degree(remaining) < 1:
                     break
-            if hit is not None:
-                exact.append((hit, mult))
-                remaining = div_exact(remaining, [-hit, ONE])
+                hit = None
+                for cand in _reconstruct(value):
+                    if cand and evaluate(remaining, cand).is_zero():
+                        hit = cand
+                        break
+                if hit is not None:
+                    exact.append((hit, mult))
+                    remaining = div_exact(remaining, [-hit, ONE])
+            if not 1 <= degree(remaining) < start:
+                break
+            values = _numeric_roots(remaining)
         if degree(remaining) >= 1:
-            for value in _numeric_roots(remaining):
+            for value in values:
                 mid = GaussianRational(
                     Fraction(mpmath.nstr(value.real, 40, strip_zeros=False)).limit_denominator(2**64),
                     Fraction(mpmath.nstr(value.imag, 40, strip_zeros=False)).limit_denominator(2**64),

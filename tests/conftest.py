@@ -16,6 +16,7 @@ from synthkit import (
     Measure,
     Polynomial,
 )
+from synthkit import groebner, ideals
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -65,3 +66,17 @@ def polynomials(dim: int, max_degree: int = 3, max_terms: int = 4):
 
 def exponentials(dim: int):
     return st.tuples(*[st.sampled_from(EXPONENTIAL_POOL)] * dim).map(Exponential)
+
+
+def count_groebner_builds(monkeypatch) -> list:
+    """Spy on both bindings of groebner_basis; the list grows per build."""
+    original = groebner.groebner_basis
+    builds = []
+
+    def spy(polys, order):
+        builds.append(order.dim)
+        return original(polys, order)
+
+    monkeypatch.setattr(groebner, "groebner_basis", spy)
+    monkeypatch.setattr(ideals, "groebner_basis", spy)
+    return builds

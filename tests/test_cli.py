@@ -65,6 +65,41 @@ def test_roots_exact(capsys, monkeypatch):
     assert doc["approximate"] == []
 
 
+@pytest.mark.parametrize(
+    "poly, exact",
+    [
+        # the coarse candidate 2 of the value 5/3 is the other root
+        ("(z-(5/3))*(z-(2))", [["5/3"], ["2"]]),
+        ("(z-(-1/4))^2*(z-(-1+1i))*(z-(-1/2+2/3i))", [["-1+i"], ["-1/2+2/3i"], ["-1/4"]]),
+    ],
+)
+def test_roots_exact_when_a_coarse_candidate_is_another_root(capsys, monkeypatch, poly, exact):
+    code, out = run_cli(capsys, monkeypatch, f"roots {poly}\n")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"] == exact
+    assert doc["approximate"] == []
+
+
+def test_solve_keeps_roots_behind_a_coarse_candidate(capsys, monkeypatch):
+    script = (
+        "solve (d[-1,0]-(2/3)*d[0,0])^2*(d[-1,0]-(1)*d[0,0])^2"
+        " (d[0,-1]-(-3)*d[0,0])*(d[0,-1]-(1-1i)*d[0,0])\n"
+    )
+    code, out = run_cli(capsys, monkeypatch, script)
+    assert code == 0
+    doc = json.loads(out)
+    assert [(r["root"], r["multiplicity"]) for r in doc["roots"]] == [
+        (["2/3", "-3"], 2),
+        (["2/3", "1-i"], 2),
+        (["1", "-3"], 2),
+        (["1", "1-i"], 2),
+    ]
+    assert doc["approximate_roots"] == []
+    assert doc["total_dimension"] == 8
+    assert doc["inconclusive"] is False
+
+
 def test_member_true_false(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "member ideal(z-1) z^2-1\n")
     assert code == 0

@@ -1,8 +1,13 @@
 """Buchberger engine on small hand-checkable systems."""
 
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
 from synthkit import Polynomial
 from synthkit.groebner import (
-    BlockOrder,
     GrevlexOrder,
     eliminate,
     groebner_basis,
@@ -69,20 +74,81 @@ def test_leading_monomials_are_monic_markers():
 def test_eliminate_projects_variety():
     # x = y and y^2 = 1 project to x^2 = 1 on the first coordinate
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    found = eliminate([x - y, y * y - 1], 2, 0)
+    order = GrevlexOrder(2)
+    found = eliminate(groebner_basis([x - y, y * y - 1], order), order, 0)
     assert found, "elimination should find a univariate relation"
     for g in found:
         assert all(m[1] == 0 for m in g.terms)
     target = x * x - 1
-    order = GrevlexOrder(2)
     basis = groebner_basis(found, order)
     assert normal_form(target, basis, order).is_zero()
 
 
-def test_block_order_prefers_eliminated_variables():
-    order = BlockOrder(2, elim=[1])
-    # any power of the kept variable is smaller than one eliminated variable
-    assert order.key((3, 0)) < order.key((0, 1))
+def test_eliminate_unit_ideal_gives_one():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    order = GrevlexOrder(2)
+    basis = groebner_basis([x - 1, x - 2, y], order)
+    for keep in (0, 1):
+        assert eliminate(basis, order, keep) == [Polynomial.constant(2, 1)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_eliminate_fat_point_gives_its_power(k):
+    z = Polynomial.variable(1, 0)
+    order = GrevlexOrder(1)
+    basis = groebner_basis([(z - 1) ** k], order)
+    assert eliminate(basis, order, 0) == [(z - 1) ** k]
+    # the other coordinate of a 2-D fat point does not leak in
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    order = GrevlexOrder(2)
+    basis = groebner_basis([(x - 1) ** k, (y + 2) ** 2, (x - 1) * (y + 2)], order)
+    assert eliminate(basis, order, 0) == [(x - 1) ** k]
+    assert eliminate(basis, order, 1) == [(y + 2) ** 2]
+
+
+def _random_zero_dimensional(rng, dim):
+    """Pure powers lead under grevlex, so the ideal is zero dimensional."""
+    monos = [
+        m for m in itertools.product(range(3), repeat=dim) if sum(m) <= 2
+    ]
+    gens = []
+    for i in range(dim):
+        k = rng.randint(2 if dim == 2 else 1, 3)
+        lead = tuple(k if j == i else 0 for j in range(dim))
+        terms = {lead: 1}
+        lower = [m for m in monos if sum(m) < k]
+        for m in rng.sample(lower, min(3, len(lower))):
+            terms[m] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        gens.append(Polynomial(dim, terms))
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_eliminate_matches_sympy_lex_basis(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    dim = 2 if seed % 2 else 3
+    gens = _random_zero_dimensional(rng, dim)
+    order = GrevlexOrder(dim)
+    basis = groebner_basis(gens, order)
+    zs = sympy.symbols(f"z0:{dim}")
+    exprs = [
+        sum(
+            sympy.Rational(v.re.numerator, v.re.denominator)
+            * sympy.prod(z**a for z, a in zip(zs, m))
+            for m, v in g.terms.items()
+        )
+        for g in gens
+    ]
+    for keep in range(dim):
+        gens_order = [z for j, z in enumerate(zs) if j != keep] + [zs[keep]]
+        lex = sympy.groebner(exprs, *gens_order, order="lex")
+        univariate = sympy.Poly(lex.exprs[-1], zs[keep]).monic()
+        expected = {
+            tuple(e if j == keep else 0 for j in range(dim)): Fraction(int(c.p), int(c.q))
+            for (e,), c in univariate.terms()
+        }
+        assert eliminate(basis, order, keep) == [Polynomial(dim, expected)]
 
 
 def test_buchberger_agrees_on_generator_presentation():

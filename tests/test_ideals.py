@@ -30,7 +30,7 @@ from synthkit.ideals import (
 from synthkit.scalars import GaussianRational
 from synthkit.synthesis import solve_at_root
 
-from conftest import dims, laurents, points
+from conftest import count_groebner_builds, dims, laurents, points
 
 Z = LaurentPoly.variable(1, 0)
 ONE_L = LaurentPoly.constant(1, 1)
@@ -180,6 +180,17 @@ def test_zero_set_two_variables():
     exact, approx = I.zero_set()
     assert approx == []
     assert [e.base for e in exact] == [(gr(1), gr(2))]
+
+
+def test_zero_set_builds_one_groebner_basis(monkeypatch):
+    # the cached grevlex basis serves quotient_dimension and every
+    # coordinate's elimination; a block order per coordinate made it 4
+    builds = count_groebner_builds(monkeypatch)
+    zs = [LaurentPoly.variable(3, i) for i in range(3)]
+    exact, approx = IdealHandle([(z - 1) ** 2 for z in zs]).zero_set()
+    assert approx == []
+    assert [e.base for e in exact] == [(gr(1), gr(1), gr(1))]
+    assert builds == [4]
 
 
 def test_zero_set_positive_dimensional():

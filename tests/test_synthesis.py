@@ -29,9 +29,11 @@ from synthkit.synthesis import (
     window_oracle,
 )
 
+from conftest import count_groebner_builds
 from conftest import measures as measures_strategy
 
 Z = LaurentPoly.variable(1, 0)
+Z1, Z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
 
 
 def gr(n, d=1):
@@ -121,6 +123,42 @@ def test_two_variable_plane_system():
     (basis,) = solution.bases
     assert basis.root.base == (gr(1), gr(2))
     assert basis.multiplicity == 1
+
+
+def test_solve_system_builds_one_groebner_basis(monkeypatch):
+    # zero_set and the quotient bound share the handle's one basis; a
+    # block order per coordinate made it 3
+    builds = count_groebner_builds(monkeypatch)
+    mus = [
+        inverse_transform((Z1 - 1) * (Z1 - 2)),
+        inverse_transform((Z2 + 1) * (Z2 - 3) ** 2),
+    ]
+    solution = solve_system(mus)
+    assert solution.approximate == ()
+    assert len(solution.bases) == 4
+    assert solution.total_dimension == 6
+    assert builds == [3]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        # fat points
+        [(Z - 1) ** 4],
+        [(Z1 - 1) ** 3, (Z2 - 1) ** 2],
+        # a staircase that is not a complete intersection
+        [(Z1 - 1) ** 3, (Z1 - 1) * (Z2 - 2), (Z2 - 2) ** 2],
+        # multi-root systems, with multiplicities
+        [(Z1 - 1) ** 2 * (Z1 - 2), (Z2 + 1) * (Z2 - Z1)],
+        [(Z1 - gr(2, 3)) ** 2 * (Z1 - 1), (Z2 + 3) * (Z2 - GaussianRational(1, -1))],
+    ],
+)
+def test_multiplicities_add_up_to_quotient_dimension(gens):
+    solution = solve_system([inverse_transform(g) for g in gens])
+    assert solution.approximate == ()
+    qdim = IdealHandle(gens).quotient_dimension()
+    assert sum(b.multiplicity for b in solution.bases) == qdim
+    assert solution.total_dimension == qdim
 
 
 def test_solve_reports_approximate_roots():
