@@ -19,26 +19,6 @@ from .suites import SUITES, active_seed, run_suite
 from .synthesis import biadditive_demo, solve_system, window_oracle
 
 
-def _measure_doc(mu) -> dict:
-    return {
-        "dim": mu.dim,
-        "terms": [
-            {"point": list(x), "value": str(mu.coeffs[x])}
-            for x in sorted(mu.coeffs)
-        ],
-    }
-
-
-def _laurent_doc(L) -> dict:
-    return {
-        "dim": L.dim,
-        "terms": [
-            {"exponent": list(a), "value": str(L.terms[a])}
-            for a in sorted(L.terms)
-        ],
-    }
-
-
 def _poly_doc(p) -> dict:
     return {
         "dim": p.dim,
@@ -224,6 +204,10 @@ def main(argv=None) -> int:
         code = 1
     except OSError as exc:
         doc = {"schema": 1, "error": {"code": "io-error", "message": str(exc)}}
+        code = 1
+    except Exception as exc:  # a broken postcondition or exhausted memory
+        message = f"{type(exc).__name__}: {exc}"
+        doc = {"schema": 1, "error": {"code": "internal-error", "message": message}}
         code = 1
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return code

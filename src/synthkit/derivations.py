@@ -10,7 +10,7 @@ operator kills the unit measure.
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .measures import Exponential, Measure, convolve, neg_point
+from .measures import Exponential, Measure, neg_point
 from .polynomials import Polynomial
 from .scalars import ZERO, GaussianRational
 
@@ -20,7 +20,7 @@ def moment(mu: Measure, p: Polynomial, c: Exponential) -> GaussianRational:
     if mu.dim != p.dim or mu.dim != c.dim:
         raise DimensionMismatch("dimension mismatch")
     total = ZERO
-    for x, v in mu.coeffs.items():
+    for x, v in mu.terms.items():
         total = total + v * p.evaluate(x) * c.value_at(neg_point(x))
     return total
 
@@ -30,7 +30,7 @@ def mass(mu: Measure, c: Exponential) -> GaussianRational:
     if mu.dim != c.dim:
         raise DimensionMismatch("dimension mismatch")
     total = ZERO
-    for x, v in mu.coeffs.items():
+    for x, v in mu.terms.items():
         total = total + v * c.value_at(neg_point(x))
     return total
 
@@ -73,7 +73,7 @@ class Derivation:
         self, mu: Measure, nu: Measure, c: Exponential
     ) -> GaussianRational:
         """D(mu*nu) - D(mu) nu-hat - mu-hat D(nu), all evaluated at c."""
-        product = self.apply(convolve(mu, nu), c)
+        product = self.apply(mu * nu, c)
         left = self.apply(mu, c) * mass(nu, c)
         right = mass(mu, c) * self.apply(nu, c)
         return product - left - right

@@ -129,18 +129,12 @@ def _as_scalar(v):
     return None
 
 
-def _pad_laurent(L: LaurentPoly, dim: int) -> LaurentPoly:
-    if L.dim == dim:
-        return L
-    tail = (0,) * (dim - L.dim)
-    return LaurentPoly._raw(dim, {a + tail: v for a, v in L.terms.items()})
-
-
-def _pad_poly(p: Polynomial, dim: int) -> Polynomial:
+def _pad(p, dim: int):
+    """A Laurent polynomial or polynomial read in dim >= p.dim variables."""
     if p.dim == dim:
         return p
     tail = (0,) * (dim - p.dim)
-    return Polynomial._raw(dim, {a + tail: v for a, v in p.terms.items()})
+    return p._raw(dim, {a + tail: v for a, v in p.terms.items()})
 
 
 def _combine(op: str, left, right):
@@ -184,15 +178,11 @@ def _apply_binary(op: str, a, b, tok: Token):
         raise ParseError(
             "z-variables and x-variables do not mix", tok.line, tok.col
         )
-    if la or lb:
-        dim = max(a.dim if la else 1, b.dim if lb else 1)
-        left = _pad_laurent(a, dim) if la else LaurentPoly.constant(dim, sa)
-        right = _pad_laurent(b, dim) if lb else LaurentPoly.constant(dim, sb)
-        return _combine(op, left, right)
-    if pa or pb:
-        dim = max(a.dim if pa else 1, b.dim if pb else 1)
-        left = _pad_poly(a, dim) if pa else Polynomial.constant(dim, sa)
-        right = _pad_poly(b, dim) if pb else Polynomial.constant(dim, sb)
+    if la or lb or pa or pb:
+        # The other operand is a scalar, which the ring reads as a constant.
+        dim = max(v.dim for v in (a, b) if isinstance(v, (LaurentPoly, Polynomial)))
+        left = sa if sa is not None else _pad(a, dim)
+        right = sb if sb is not None else _pad(b, dim)
         return _combine(op, left, right)
     raise ParseError(f"operator {op!r} is not defined here", tok.line, tok.col)
 
@@ -214,10 +204,7 @@ def _apply_power(base, n: int, tok: Token):
             raise ParseError(
                 "measures have no negative convolution powers", tok.line, tok.col
             )
-        result = delta((0,) * base.dim)
-        for _ in range(n):
-            result = result * base
-        return result
+        return base ** n
     s = _as_scalar(base)
     if s is not None:
         if n < 0 and s.is_zero():
@@ -509,7 +496,7 @@ def _to_measure(v) -> Measure:
 
 def _to_laurent(v, target: int) -> LaurentPoly:
     if isinstance(v, LaurentPoly):
-        return _pad_laurent(v, target)
+        return _pad(v, target)
     s = _as_scalar(v)
     if s is not None:
         return LaurentPoly.constant(target, s)
@@ -518,7 +505,7 @@ def _to_laurent(v, target: int) -> LaurentPoly:
 
 def _to_poly(v, target: int) -> Polynomial:
     if isinstance(v, Polynomial):
-        return _pad_poly(v, target)
+        return _pad(v, target)
     s = _as_scalar(v)
     if s is not None:
         return Polynomial.constant(target, s)
@@ -542,7 +529,7 @@ def _to_exponential(v, target: int) -> Exponential:
 
 def _to_ideal(v, target: int) -> IdealHandle:
     if isinstance(v, IdealValue):
-        return IdealHandle([_pad_laurent(g, target) for g in v.generators])
+        return IdealHandle([_pad(g, target) for g in v.generators])
     return IdealHandle([_to_laurent(v, target)])
 
 
@@ -606,10 +593,10 @@ def _point_term(x: tuple) -> str:
 
 
 def format_measure(mu: Measure) -> str:
-    if not mu.coeffs:
+    if not mu.terms:
         return "(0)*" + _point_term((0,) * mu.dim)
     parts = [
-        f"({mu.coeffs[x]})*{_point_term(x)}" for x in sorted(mu.coeffs)
+        f"({mu.terms[x]})*{_point_term(x)}" for x in sorted(mu.terms)
     ]
     return " + ".join(parts)
 

@@ -12,7 +12,7 @@ from typing import Iterable
 from .errors import DimensionMismatch, MultiTermInput
 from .linalg import RowSpace
 from .measures import Exponential, Measure, check_point, neg_point
-from .polynomials import Polynomial, _binomial_shift
+from .polynomials import Polynomial, _accumulate, _binomial_shift
 from .scalars import ZERO, GaussianRational
 
 
@@ -111,26 +111,17 @@ def act(mu: Measure, f: ExpPolynomial) -> ExpPolynomial:
     out = []
     for exponential, poly in f.terms:
         acc: dict = {}
-
-        def _merge(gamma, c):
-            prev = acc.get(gamma)
-            c = c if prev is None else prev + c
-            if c:
-                acc[gamma] = c
-            else:
-                del acc[gamma]
-
-        for y, weight in mu.coeffs.items():
+        for y, weight in mu.terms.items():
             back = neg_point(y)
             w = weight * exponential.value_at(back)
             if any(back):
                 for alpha, v in poly.terms.items():
                     vw = v * w
                     for gamma, mult in _binomial_shift(alpha, back):
-                        _merge(gamma, vw * mult)
+                        _accumulate(acc, gamma, vw * mult)
             else:
                 for alpha, v in poly.terms.items():
-                    _merge(alpha, v * w)
+                    _accumulate(acc, alpha, v * w)
         out.append((exponential, Polynomial._raw(f.dim, acc)))
     return ExpPolynomial(f.dim, out)
 
@@ -159,6 +150,38 @@ def _vectorize(g: ExpPolynomial, base: ExpPolynomial, index: dict) -> list:
     return vec
 
 
+def unit_steps(dim: int) -> list:
+    """The 2d unit steps of Z^dim: +e_i, then -e_i, for each i in turn."""
+    steps = []
+    for i in range(dim):
+        e = tuple(int(j == i) for j in range(dim))
+        steps += [e, tuple(-v for v in e)]
+    return steps
+
+
+def span_closure(seeds, move, vector, width: int, dim: int) -> list:
+    """Basis of the smallest span that holds the seeds and is closed under
+    g -> move(g, step) for every unit step.
+
+    vector(g) gives the coordinates of g in a space of the given width.
+    The rank fixpoint certifies stabilization. Independent seeds come
+    first, then each new element in the order found, working last in,
+    first out.
+    """
+    space = RowSpace(width)
+    basis = [g for g in seeds if space.add(vector(g))]
+    work = list(basis)
+    steps = unit_steps(dim)
+    while work:
+        g = work.pop()
+        for step in steps:
+            h = move(g, step)
+            if space.add(vector(h)):
+                basis.append(h)
+                work.append(h)
+    return basis
+
+
 def translate_closure(f: ExpPolynomial) -> list:
     """Basis of the span of all translates of f.
 
@@ -168,26 +191,13 @@ def translate_closure(f: ExpPolynomial) -> list:
     if f.is_zero():
         return []
     layout, index = _staircase_layout(f)
-    space = RowSpace(len(layout))
-    basis: list = []
-    work = []
-    if space.add(_vectorize(f, f, index)):
-        basis.append(f)
-        work.append(f)
-    steps = []
-    for i in range(f.dim):
-        e = [0] * f.dim
-        e[i] = 1
-        steps.append(tuple(e))
-        steps.append(tuple(-v for v in e))
-    while work:
-        g = work.pop()
-        for step in steps:
-            h = g.translated(step)
-            if space.add(_vectorize(h, f, index)):
-                basis.append(h)
-                work.append(h)
-    return basis
+    return span_closure(
+        [f],
+        ExpPolynomial.translated,
+        lambda g: _vectorize(g, f, index),
+        len(layout),
+        f.dim,
+    )
 
 
 def translate_span_dim(f: ExpPolynomial) -> int:

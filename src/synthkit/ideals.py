@@ -10,7 +10,6 @@ member of the ideal.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -25,7 +24,7 @@ from .errors import (
     InfiniteOrder,
     PositiveDimensional,
 )
-from .exppoly import ExpPolynomial, translate_closure
+from .exppoly import ExpPolynomial, span_closure, translate_closure, unit_steps
 from .fourier import LaurentPoly, inverse_transform
 from .groebner import (
     GrevlexOrder,
@@ -34,7 +33,7 @@ from .groebner import (
     normal_form,
     standard_monomials,
 )
-from .linalg import RowSpace, nullspace
+from .linalg import nullspace
 from .measures import Exponential, Measure, neg_point
 from .polynomials import Polynomial, grevlex_key, monomials_of_degree
 from .scalars import ONE, ZERO
@@ -56,11 +55,8 @@ def _saturation_relation(dim: int) -> Polynomial:
 
 
 class IdealHandle:
-    """Finitely generated ideal of Laurent transforms with a cached basis.
-
-    The Groebner basis is computed on first use under a lock, so
-    concurrent readers trigger exactly one computation.
-    """
+    """Finitely generated ideal of Laurent transforms; its Groebner basis
+    is computed on first use and cached."""
 
     def __init__(self, generators: Iterable):
         gens = list(generators)
@@ -74,7 +70,6 @@ class IdealHandle:
                 raise DimensionMismatch("generator dimension mismatch")
         self.dim = dim
         self.generators = tuple(gens)
-        self._lock = threading.Lock()
         self._basis = None
         self._order = GrevlexOrder(dim + 1)
 
@@ -97,15 +92,9 @@ class IdealHandle:
         return out
 
     def groebner(self) -> list:
-        basis = self._basis
-        if basis is None:
-            with self._lock:
-                if self._basis is None:
-                    self._basis = groebner_basis(
-                        self._polynomial_generators(), self._order
-                    )
-                basis = self._basis
-        return basis
+        if self._basis is None:
+            self._basis = groebner_basis(self._polynomial_generators(), self._order)
+        return self._basis
 
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.generators)
@@ -305,7 +294,7 @@ def _local_kernel(measures: list, c: Exponential, bound: int) -> tuple:
     """
     dim = c.dim
     weights = [
-        [(x, v * c.value_at(neg_point(x))) for x, v in mu.coeffs.items()]
+        [(x, v * c.value_at(neg_point(x))) for x, v in mu.terms.items()]
         for mu in measures
     ]
     moments: list = [{} for _ in measures]
@@ -418,9 +407,6 @@ def difference_closure(p: Polynomial) -> list:
         return []
     layout = p.staircase()
     index = {m: i for i, m in enumerate(layout)}
-    space = RowSpace(len(layout))
-    basis: list = []
-    work: list = []
 
     def vec(q: Polynomial) -> list:
         out = [ZERO] * len(layout)
@@ -428,22 +414,8 @@ def difference_closure(p: Polynomial) -> list:
             out[index[m]] = v
         return out
 
-    steps = []
-    for i in range(p.dim):
-        e = tuple(int(j == i) for j in range(p.dim))
-        steps += [e, tuple(-v for v in e)]
-    for seed in (p.difference(step) for step in steps):
-        if not seed.is_zero() and space.add(vec(seed)):
-            basis.append(seed)
-            work.append(seed)
-    while work:
-        g = work.pop()
-        for step in steps:
-            h = g.shift(step)
-            if space.add(vec(h)):
-                basis.append(h)
-                work.append(h)
-    return basis
+    seeds = [p.difference(step) for step in unit_steps(p.dim)]
+    return span_closure(seeds, Polynomial.shift, vec, len(layout), p.dim)
 
 
 def derivation_ideal_member(
@@ -476,7 +448,7 @@ def annihilates_translates(mu: Measure, f: ExpPolynomial) -> bool:
     """
     for g in translate_closure(f):
         total = ZERO
-        for x, v in mu.coeffs.items():
+        for x, v in mu.terms.items():
             total = total + v * g.evaluate(neg_point(x))
         if total:
             return False

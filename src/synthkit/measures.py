@@ -8,9 +8,10 @@ nonzero coordinates.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import DimensionMismatch, EmptyShiftList, ZeroCoordinate
+from .polynomials import SparseTerms
 from .scalars import ONE, GaussianRational, _coerce
 
 Point = tuple  # tuple[int, ...]
@@ -88,115 +89,33 @@ def trivial_exponential(dim: int) -> Exponential:
     return Exponential([ONE] * dim)
 
 
-class Measure:
-    """Finitely supported measure; zero coefficients are never stored."""
+class Measure(SparseTerms):
+    """Finitely supported measure: terms keyed by lattice points in Z^d,
+    with convolution as the ring product."""
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, dim: int, coeffs: Mapping | None = None):
-        self.dim = dim
-        cleaned: dict = {}
-        if coeffs:
-            for x, v in coeffs.items():
-                x = check_point(dim, x)
-                s = _coerce(v)
-                if s is None:
-                    raise TypeError(f"coefficient {v!r} is not a scalar")
-                if s:
-                    prev = cleaned.get(x)
-                    s = s if prev is None else prev + s
-                    if s:
-                        cleaned[x] = s
-                    else:
-                        del cleaned[x]
-        self.coeffs = cleaned
-
-    @classmethod
-    def _raw(cls, dim: int, coeffs: dict) -> "Measure":
-        self = object.__new__(cls)
-        self.dim = dim
-        self.coeffs = coeffs
-        return self
+    _check_key = staticmethod(check_point)
 
     def support(self) -> list:
-        return sorted(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return sorted(self.terms)
 
     def total_mass(self) -> GaussianRational:
         total = GaussianRational(0)
-        for v in self.coeffs.values():
+        for v in self.terms.values():
             total = total + v
         return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Measure)
-            and self.dim == other.dim
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, Measure):
-            return NotImplemented
-        _same_dim(self, other)
-        out = dict(self.coeffs)
-        for x, v in other.coeffs.items():
-            s = out.get(x)
-            s = v if s is None else s + v
-            if s:
-                out[x] = s
-            else:
-                del out[x]
-        return Measure._raw(self.dim, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Measure):
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, s) -> "Measure":
-        s = _coerce(s)
-        if not s:
-            return Measure._raw(self.dim, {})
-        return Measure._raw(self.dim, {x: v * s for x, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Measure):
-            return convolve(self, other)
-        s = _coerce(other)
-        if s is not None:
-            return self.scaled(s)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        s = _coerce(other)
-        if s is not None:
-            return self.scaled(s)
-        return NotImplemented
 
     def translated(self, y) -> "Measure":
         """Convolution with delta(y): mass at x moves to x + y."""
         y = check_point(self.dim, y)
         return Measure._raw(
-            self.dim, {add_points(x, y): v for x, v in self.coeffs.items()}
+            self.dim, {add_points(x, y): v for x, v in self.terms.items()}
         )
 
     def __repr__(self):
-        items = ", ".join(f"{x}: {v}" for x, v in sorted(self.coeffs.items()))
+        items = ", ".join(f"{x}: {v}" for x, v in sorted(self.terms.items()))
         return f"Measure(dim={self.dim}, {{{items}}})"
-
-
-def _same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension {a.dim} vs {b.dim}")
 
 
 def delta(x) -> Measure:
@@ -208,30 +127,13 @@ def delta(x) -> Measure:
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Ring product: (mu * nu)(s) = sum over x + y = s of mu(x) nu(y)."""
-    _same_dim(mu, nu)
-    out: dict = {}
-    if len(nu.coeffs) < len(mu.coeffs):
-        mu, nu = nu, mu
-    for x, a in mu.coeffs.items():
-        for y, b in nu.coeffs.items():
-            s = add_points(x, y)
-            c = a * b
-            prev = out.get(s)
-            c = c if prev is None else prev + c
-            if c:
-                out[s] = c
-            else:
-                del out[s]
-    return Measure._raw(mu.dim, out)
+    return mu * nu
 
 
 def difference_measure(m: Exponential, y) -> Measure:
     """delta(-y) - m(y) delta(0), the building block of higher differences."""
     y = check_point(m.dim, y)
-    out = delta(neg_point(y))
-    origin = (0,) * m.dim
-    out = out + Measure(m.dim, {origin: -m.value_at(y)})
-    return out
+    return delta(neg_point(y)) - m.value_at(y)
 
 
 def difference_product(m: Exponential, ys: Iterable) -> Measure:
@@ -241,5 +143,5 @@ def difference_product(m: Exponential, ys: Iterable) -> Measure:
         raise EmptyShiftList("difference product needs at least one shift")
     out = difference_measure(m, ys[0])
     for y in ys[1:]:
-        out = convolve(out, difference_measure(m, y))
+        out = out * difference_measure(m, y)
     return out

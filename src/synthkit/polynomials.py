@@ -1,4 +1,5 @@
-"""Multivariate polynomials with Gaussian-rational coefficients.
+"""Multivariate polynomials with Gaussian-rational coefficients, and the
+sparse-term ring kernel they share with Laurent polynomials and measures.
 
 Terms are keyed by exponent multi-indices in N^d. Shifts p(x + a) expand
 binomially and stay inside the staircase (lower closure) of the support,
@@ -39,46 +40,171 @@ def monomials_up_to(dim: int, n: int) -> list:
     return out
 
 
-class Polynomial:
+def _accumulate(out: dict, key, c) -> None:
+    """Add the nonzero scalar c at key, dropping the key if the sum cancels."""
+    prev = out.get(key)
+    c = c if prev is None else prev + c
+    if c:
+        out[key] = c
+    else:
+        del out[key]
+
+
+class SparseTerms:
+    """Finitely many nonzero coefficients keyed by integer vectors.
+
+    The shared ring kernel of Polynomial, LaurentPoly and Measure: sums
+    merge terms, products add keys and multiply coefficients, and a scalar
+    operand stands for that scalar times the unit. Zero coefficients are
+    never stored. A subclass fixes which keys are allowed (_check_key) and
+    adds what its elements mean.
+    """
+
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: Mapping | None = None):
         self.dim = dim
         cleaned: dict = {}
         if terms:
-            for alpha, v in terms.items():
-                alpha = tuple(alpha)
-                if len(alpha) != dim or any(a < 0 or not isinstance(a, int) for a in alpha):
-                    raise DimensionMismatch(f"bad exponent {alpha} for dimension {dim}")
+            for key, v in terms.items():
+                key = self._check_key(dim, key)
                 s = _coerce(v)
                 if s is None:
                     raise TypeError(f"coefficient {v!r} is not a scalar")
                 if s:
-                    prev = cleaned.get(alpha)
-                    s = s if prev is None else prev + s
-                    if s:
-                        cleaned[alpha] = s
-                    else:
-                        del cleaned[alpha]
+                    _accumulate(cleaned, key, s)
         self.terms = cleaned
 
     @classmethod
-    def _raw(cls, dim: int, terms: dict) -> "Polynomial":
+    def _raw(cls, dim: int, terms: dict):
         self = object.__new__(cls)
         self.dim = dim
         self.terms = terms
         return self
 
     @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
+    def zero(cls, dim: int):
         return cls._raw(dim, {})
 
     @classmethod
-    def constant(cls, dim: int, value) -> "Polynomial":
+    def constant(cls, dim: int, value):
         s = _coerce(value)
         if not s:
             return cls._raw(dim, {})
         return cls._raw(dim, {(0,) * dim: s})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.dim == other.dim
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.terms.items())))
+
+    def _operand(self, other):
+        """other as an element of this ring, or None if it is not one."""
+        if type(other) is type(self):
+            if other.dim != self.dim:
+                raise DimensionMismatch(f"dimension {self.dim} vs {other.dim}")
+            return other
+        s = _coerce(other)
+        if s is not None:
+            return self.constant(self.dim, s)
+        return None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        # The merge of _accumulate, inlined: sums and products are the hot loops.
+        for key, v in other.terms.items():
+            prev = out.get(key)
+            v = v if prev is None else prev + v
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return self._raw(self.dim, out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + other.scaled(-1)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + self.scaled(-1)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def scaled(self, s):
+        s = _coerce(s)
+        if not s:
+            return self._raw(self.dim, {})
+        return self._raw(self.dim, {k: v * s for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        small, large = self.terms, other.terms
+        if len(large) < len(small):
+            small, large = large, small
+        out: dict = {}
+        for a, va in small.items():
+            for b, vb in large.items():
+                key = tuple(x + y for x, y in zip(a, b))
+                c = va * vb
+                prev = out.get(key)
+                c = c if prev is None else prev + c
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+        return self._raw(self.dim, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        result = self.constant(self.dim, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, {self})"
+
+
+class Polynomial(SparseTerms):
+    """Terms keyed by exponent vectors in N^d."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(dim: int, alpha) -> tuple:
+        alpha = tuple(alpha)
+        if len(alpha) != dim or any(a < 0 or not isinstance(a, int) for a in alpha):
+            raise DimensionMismatch(f"bad exponent {alpha} for dimension {dim}")
+        return alpha
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Polynomial":
@@ -86,9 +212,6 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for dimension {dim}")
         alpha = tuple(1 if i == index else 0 for i in range(dim))
         return cls._raw(dim, {alpha: ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
@@ -98,102 +221,6 @@ class Polynomial:
 
     def constant_term(self) -> GaussianRational:
         return self.terms.get((0,) * self.dim, ZERO)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        other = self._coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for alpha, v in other.terms.items():
-            s = out.get(alpha)
-            s = v if s is None else s + v
-            if s:
-                out[alpha] = s
-            else:
-                del out[alpha]
-        return Polynomial._raw(self.dim, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + other.scaled(-1)
-
-    def __rsub__(self, other):
-        other = self._coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + self.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, s) -> "Polynomial":
-        s = _coerce(s)
-        if not s:
-            return Polynomial._raw(self.dim, {})
-        return Polynomial._raw(self.dim, {a: v * s for a, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if other.dim != self.dim:
-                raise DimensionMismatch(f"dimension {self.dim} vs {other.dim}")
-            out: dict = {}
-            for a, va in self.terms.items():
-                for b, vb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(a, b))
-                    c = va * vb
-                    prev = out.get(key)
-                    c = c if prev is None else prev + c
-                    if c:
-                        out[key] = c
-                    else:
-                        del out[key]
-            return Polynomial._raw(self.dim, out)
-        s = _coerce(other)
-        if s is not None:
-            return self.scaled(s)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        s = _coerce(other)
-        if s is not None:
-            return self.scaled(s)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = Polynomial.constant(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def _coerce_poly(self, other):
-        if isinstance(other, Polynomial):
-            if other.dim != self.dim:
-                raise DimensionMismatch(f"dimension {self.dim} vs {other.dim}")
-            return other
-        s = _coerce(other)
-        if s is not None:
-            return Polynomial.constant(self.dim, s)
-        return None
 
     def evaluate(self, point) -> GaussianRational:
         """Value at an integer lattice point."""
@@ -219,13 +246,7 @@ class Polynomial:
         out: dict = {}
         for alpha, v in self.terms.items():
             for gamma, mult in _binomial_shift(alpha, a):
-                c = v * mult
-                prev = out.get(gamma)
-                c = c if prev is None else prev + c
-                if c:
-                    out[gamma] = c
-                else:
-                    del out[gamma]
+                _accumulate(out, gamma, v * mult)
         return Polynomial._raw(self.dim, out)
 
     def reflect(self) -> "Polynomial":
@@ -246,41 +267,6 @@ class Polynomial:
             _add_lower_set(alpha, seen)
         return sorted(seen, key=grevlex_key)
 
-    def substitute_sum(self, var_map: list, new_dim: int) -> "Polynomial":
-        """Replace variable i by the sum of new-ring variables var_map[i].
-
-        Used to expand p(x + y_1 + ... + y_k) with symbolic shift blocks.
-        """
-        if len(var_map) != self.dim:
-            raise DimensionMismatch("substitution map length mismatch")
-        out: dict = {}
-        for alpha, v in self.terms.items():
-            partial = {(0,) * new_dim: v}
-            for i, a in enumerate(alpha):
-                if not a:
-                    continue
-                expansion = _power_of_sum(tuple(var_map[i]), a, new_dim)
-                nxt: dict = {}
-                for mono, coeff in partial.items():
-                    for emono, emult in expansion:
-                        key = tuple(x + y for x, y in zip(mono, emono))
-                        c = coeff * emult
-                        prev = nxt.get(key)
-                        c = c if prev is None else prev + c
-                        if c:
-                            nxt[key] = c
-                        else:
-                            del nxt[key]
-                partial = nxt
-            for mono, coeff in partial.items():
-                prev = out.get(mono)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff:
-                    out[mono] = coeff
-                else:
-                    del out[mono]
-        return Polynomial._raw(new_dim, out)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -294,9 +280,6 @@ class Polynomial:
             )
             bits.append(f"({v})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-    def __repr__(self):
-        return f"Polynomial(dim={self.dim}, {self})"
 
 
 def _add_lower_set(alpha: Monomial, seen: set) -> None:
@@ -331,48 +314,3 @@ def _binomial_shift(alpha: Monomial, a: tuple) -> tuple:
                     nxt.append((gamma + (g,), mult * comb(ai, g) * powers[ai - g]))
         out = nxt
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _power_of_sum(var_indices: tuple, power: int, new_dim: int) -> tuple:
-    """(u_{j1} + ... + u_{jm})^power expanded as ((monomial, coeff), ...)."""
-    if not var_indices:
-        raise ValueError("empty variable list in substitution")
-    first, rest = var_indices[0], var_indices[1:]
-    out = []
-    if not rest:
-        mono = [0] * new_dim
-        mono[first] = power
-        return ((tuple(mono), 1),)
-    for k in range(power + 1):
-        c = comb(power, k)
-        for mono, mult in _power_of_sum(rest, power - k, new_dim):
-            lifted = list(mono)
-            lifted[first] += k
-            out.append((tuple(lifted), c * mult))
-    return tuple(out)
-
-
-def symbolic_difference(p: Polynomial, blocks: int) -> Polynomial:
-    """Iterated difference with symbolic shifts.
-
-    Returns sum over S of (-1)^(blocks - |S|) p(x + sum of blocks in S) in a
-    ring with blocks + 1 groups of p.dim variables: x first, then each shift.
-    The result is the zero polynomial exactly when every choice of integer
-    shifts annihilates p.
-    """
-    d = p.dim
-    new_dim = d * (blocks + 1)
-    total = Polynomial.zero(new_dim)
-    for mask in range(1 << blocks):
-        var_map = []
-        for i in range(d):
-            targets = [i]
-            for j in range(blocks):
-                if mask >> j & 1:
-                    targets.append(d * (j + 1) + i)
-            var_map.append(targets)
-        term = p.substitute_sum(var_map, new_dim)
-        sign = 1 if (blocks - bin(mask).count("1")) % 2 == 0 else -1
-        total = total + term.scaled(sign)
-    return total

@@ -180,7 +180,7 @@ def window_oracle(measures: Iterable, box: Iterable) -> WindowSolution:
         sides = (range(lo, hi + 1) for lo, hi in position_sides)
         for x in itertools.product(*sides):
             row = [ZERO] * len(points)
-            for y, v in mu.coeffs.items():
+            for y, v in mu.terms.items():
                 u = sub_points(x, y)
                 row[point_index[u]] = row[point_index[u]] + v
             rows.append(row)

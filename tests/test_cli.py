@@ -234,6 +234,25 @@ def test_error_codes(capsys, monkeypatch, script, argv, expected_code):
     assert doc["schema"] == 1
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [AssertionError("dual space failed to stabilize"), MemoryError(), RuntimeError("x")],
+    ids=lambda e: type(e).__name__,
+)
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
+    def broken(cmd, opts):
+        raise exc
+
+    monkeypatch.setattr("synthkit.cli.run", broken)
+    code, out = run_cli(capsys, monkeypatch, "roots z-1\n")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc == {
+        "schema": 1,
+        "error": {"code": "internal-error", "message": f"{type(exc).__name__}: {exc}"},
+    }
+
+
 def test_syntax_error_reports_position(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, "roots z +\n")
     assert code == 1

@@ -98,6 +98,6 @@ def test_evaluate_matches_moment_sum(dim, data):
     mu = data.draw(measures(dim))
     c = data.draw(exponentials(dim))
     total = GaussianRational(0)
-    for x, v in mu.coeffs.items():
+    for x, v in mu.terms.items():
         total = total + v * c.value_at(tuple(-a for a in x))
     assert transform(mu).evaluate(c) == total

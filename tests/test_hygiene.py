@@ -1,4 +1,5 @@
-"""Source hygiene: every module of synthkit uses each name it imports."""
+"""Source hygiene: every module of synthkit uses each name it imports, and
+some module uses each private function and class it defines."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,38 @@ def unused_imports(path: Path) -> list:
     )
 
 
+def _references(node: ast.AST, skip: ast.AST) -> set:
+    """Names and attributes read under node, outside the subtree skip."""
+    out = set()
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur is skip:
+            continue
+        if isinstance(cur, ast.Name):
+            out.add(cur.id)
+        elif isinstance(cur, ast.Attribute):
+            out.add(cur.attr)
+        stack.extend(ast.iter_child_nodes(cur))
+    return out
+
+
+def unreferenced_private_defs(paths: list) -> list:
+    """Module-level private functions and classes that no module reads,
+    not counting the definition's own body."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if not any(node.name in _references(t, node) for t in trees.values()):
+                out.append((path.name, node.lineno, node.name))
+    return sorted(out)
+
+
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -69,3 +102,31 @@ def test_scan_finds_an_unused_import(tmp_path):
         "    return len(x)\n"
     )
     assert unused_imports(module) == [(2, "os"), (3, "Iterable")]
+
+
+def test_no_unreferenced_private_defs():
+    assert unreferenced_private_defs(sorted(SRC.glob("*.py"))) == []
+
+
+def test_scan_finds_an_unreferenced_private_def(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n"
+        "    return 1\n"
+        "def _dead():\n"
+        "    return _used()\n"
+        "def _recursive(n):\n"
+        "    return n and _recursive(n - 1)\n"
+        "class _Hidden:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _used\n"
+        "from . import a\n"
+        "VALUE = a._used()\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unreferenced_private_defs(paths) == [
+        ("a.py", 3, "_dead"),
+        ("a.py", 5, "_recursive"),
+        ("a.py", 7, "_Hidden"),
+    ]

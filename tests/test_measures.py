@@ -104,7 +104,7 @@ def test_no_zero_coefficients_stored(dim, data):
     mu = data.draw(measures(dim))
     nu = data.draw(measures(dim))
     for result in (mu + nu, mu - nu, convolve(mu, nu)):
-        assert all(v for v in result.coeffs.values())
+        assert all(v for v in result.terms.values())
 
 
 @given(dim=dims, data=st.data())
