@@ -4,8 +4,9 @@ One order, graded reverse lexicographic with coordinates in index order.
 Ties in pair selection are broken by exponent-vector lexicographic
 comparison, and all basis lists are kept in sorted order, so results are
 deterministic. Elimination needs no second order: for a zero-dimensional
-ideal, `eliminate` reads the generator of I ∩ K[z_i] off normal forms
-against the grevlex basis (the minimal polynomial of z_i on the quotient).
+ideal, `minimal_polynomial` reads the minimal polynomial of a monomial's
+multiplication map off normal forms against the grevlex basis, and
+`eliminate` is its case z_i, the generator of I ∩ K[z_i].
 """
 
 from __future__ import annotations
@@ -110,22 +111,30 @@ def _s_poly(f: dict, lmf: tuple, g: dict, lmg: tuple) -> dict:
     return out
 
 
-def _interreduce(basis: list, order) -> list:
-    current = [dict(b) for b in basis]
+def _interreduce(current: list, order) -> list:
+    """Reduce each element by the others until nothing changes.
+
+    The elements are monic and kept as (leading monomial, ONE, terms)
+    entries, the form _normal_form_dict reads, so no round re-derives them.
+    """
     changed = True
     while changed:
         changed = False
         reduced: list = []
-        for i, g in enumerate(current):
+        for i, entry in enumerate(current):
+            g = entry[2]
             others = reduced + current[i + 1 :]
-            nf = _normal_form_dict(g, _prep(others, order), order) if others else g
-            if nf != g:
-                changed = True
+            nf = _normal_form_dict(g, others, order) if others else g
+            if nf == g:
+                reduced.append(entry)
+                continue
+            changed = True
             if nf:
-                reduced.append(_monic(nf, order))
+                nf = _monic(nf, order)
+                reduced.append((max(nf, key=order.key), ONE, nf))
         current = reduced
-    current.sort(key=lambda t: order.key(max(t, key=order.key)))
-    return current
+    current.sort(key=lambda entry: order.key(entry[0]))
+    return [terms for _, _, terms in current]
 
 
 def groebner_basis(polys: Iterable, order) -> list:
@@ -164,7 +173,7 @@ def groebner_basis(polys: Iterable, order) -> list:
         new = len(basis) - 1
         for k in range(new):
             pairs.add((k, new))
-    reduced = _interreduce(basis, order)
+    reduced = _interreduce(prepped, order)
     dim = order.dim
     return [Polynomial(dim, t) for t in reduced]
 
@@ -208,28 +217,24 @@ def standard_monomials(basis: list, order):
     return sorted(out, key=grevlex_key)
 
 
-def eliminate(basis: list, order, keep: int) -> list:
-    """The monic generator of I ∩ K[z_keep], as a one-element list.
+def minimal_polynomial(basis: list, order, step: tuple) -> Polynomial:
+    """The minimal polynomial of multiplication by z^step on K[z]/I.
 
     `basis` is the reduced basis, in `order`, of a zero-dimensional ideal
-    I. The generator is the minimal polynomial of multiplication by z_keep
-    on K[z]/I (Faugère, Gianni, Lazard & Mora, JSC 16, 1993; Cox, Little &
-    O'Shea, Using Algebraic Geometry, ch. 2 §4). The normal forms of 1,
-    z_keep, z_keep^2, ..., each the previous one times z_keep reduced
-    again, are columns over the standard monomials, up to the first that
-    depends on those before. The one free column of their kernel is the
-    last, so the kernel vector is that polynomial, monic. A block order
-    eliminating the other variables gives the same polynomial: its reduced
-    basis meets K[z_keep] in exactly one monic generator of I ∩ K[z_keep].
+    I. The result is monic, with s^k written as the monomial z^(k*step)
+    (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2 §4). The normal
+    forms of 1, z^step, z^(2*step), ..., each the previous one times
+    z^step reduced again, are columns over the standard monomials, up to
+    the first that depends on those before. The one free column of their
+    kernel is the last, so the kernel vector is that polynomial, monic.
     The unit ideal has no standard monomials, so 1 reduces to zero and the
-    result is [1].
+    result is 1.
     """
     std = standard_monomials(basis, order)
     if std is None:
-        raise ValueError("eliminate needs a zero-dimensional ideal")
+        raise ValueError("a minimal polynomial needs a zero-dimensional ideal")
     dim = order.dim
     index = {m: i for i, m in enumerate(std)}
-    step = tuple(int(j == keep) for j in range(dim))
     prepped = _prep([g.terms for g in basis], order)
     space = RowSpace(len(std))
     columns: list = []
@@ -246,4 +251,16 @@ def eliminate(basis: list, order, keep: int) -> list:
     rows = [[column[r] for column in columns] for r in range(len(std))]
     (coeffs,) = nullspace(rows, len(columns))
     terms = {tuple(k * e for e in step): c for k, c in enumerate(coeffs) if c}
-    return [Polynomial(dim, terms)]
+    return Polynomial(dim, terms)
+
+
+def eliminate(basis: list, order, keep: int) -> list:
+    """The monic generator of I ∩ K[z_keep], as a one-element list.
+
+    It is the minimal polynomial of multiplication by z_keep on K[z]/I
+    (Faugère, Gianni, Lazard & Mora, JSC 16, 1993). A block order
+    eliminating the other variables gives the same polynomial: its reduced
+    basis meets K[z_keep] in exactly one monic generator of I ∩ K[z_keep].
+    """
+    step = tuple(int(j == keep) for j in range(order.dim))
+    return [minimal_polynomial(basis, order, step)]

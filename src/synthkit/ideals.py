@@ -1,10 +1,13 @@
 """Ideals of transforms: membership, roots, multiplicity, dual spaces.
 
-Laurent ideals are handled through their polynomial forms together with
-the saturation relation t * z_1 ... z_d - 1, so Laurent units never affect
-membership. Local structure at a root is read off moment functionals:
-q belongs to the dual space at c when sum mu(x) q(x) c^-x kills every
-member of the ideal.
+A Laurent ideal J is handled through its polynomial part J ∩ K[z], the
+saturation of the ideal I of its polynomial forms by m = z_1 ... z_d, so
+Laurent units never affect membership. When m is a unit on a
+zero-dimensional K[z]/I, as its multiplication map shows, I is already
+saturated and its basis lives in K[z]; otherwise the basis carries the
+relation t * m - 1 in one more variable (see _saturate). Local structure
+at a root is read off moment functionals: q belongs to the dual space at
+c when sum mu(x) q(x) c^-x kills every member of the ideal.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .groebner import (
     GrevlexOrder,
     eliminate,
     groebner_basis,
+    minimal_polynomial,
     normal_form,
     standard_monomials,
 )
@@ -41,22 +45,47 @@ from .univariate import ApproxRoot, _to_mpc, find_roots
 from .univariate import gcd as dense_gcd
 
 
-def _embed(poly: Polynomial, extra: int = 1) -> Polynomial:
-    """Lift into the ring with `extra` trailing saturation variables."""
-    return Polynomial(
-        poly.dim + extra,
-        {alpha + (0,) * extra: v for alpha, v in poly.terms.items()},
-    )
+def _embed(poly: Polynomial) -> Polynomial:
+    """Lift into K[z, t], the ring of the fallback in _saturate."""
+    terms = {alpha + (0,): v for alpha, v in poly.terms.items()}
+    return Polynomial(poly.dim + 1, terms)
 
 
 def _saturation_relation(dim: int) -> Polynomial:
+    """t * z_1 ... z_d - 1, which makes m = z_1 ... z_d a unit."""
     terms = {(1,) * (dim + 1): ONE, (0,) * (dim + 1): -ONE}
     return Polynomial(dim + 1, terms)
 
 
+def _saturate(forms: list, dim: int) -> tuple:
+    """A reduced grevlex basis for I : m^infinity, and its order, where I
+    is generated by `forms` and m = z_1 ... z_d.
+
+    When I is zero-dimensional and the minimal polynomial of m on K[z]/I
+    has a nonzero constant term, m is a unit there and I is already
+    saturated (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2 §4).
+
+    Otherwise I is positive-dimensional or its variety meets a coordinate
+    hyperplane, as for (z1 (z2 - 1), z1 (z1 - 2)), which contains the line
+    z1 = 0, and the basis is that of I + (t m - 1) in K[z, t]. A
+    polynomial in z lies in it exactly when it lies in I : m^infinity, and
+    its quotient is the Laurent quotient (Ideals, Varieties, and
+    Algorithms, ch. 4 §4).
+    """
+    order = GrevlexOrder(dim)
+    basis = groebner_basis(forms, order)
+    if standard_monomials(basis, order) is not None:
+        mu = minimal_polynomial(basis, order, (1,) * dim)
+        if (0,) * dim in mu.terms:
+            return basis, order
+    order = GrevlexOrder(dim + 1)
+    lifted = [_embed(g) for g in basis] + [_saturation_relation(dim)]
+    return groebner_basis(lifted, order), order
+
+
 class IdealHandle:
-    """Finitely generated ideal of Laurent transforms; its Groebner basis
-    is computed on first use and cached."""
+    """Finitely generated ideal of Laurent transforms; the Groebner basis
+    of its polynomial part is computed on first use and cached."""
 
     def __init__(self, generators: Iterable):
         gens = list(generators)
@@ -70,8 +99,7 @@ class IdealHandle:
                 raise DimensionMismatch("generator dimension mismatch")
         self.dim = dim
         self.generators = tuple(gens)
-        self._basis = None
-        self._order = GrevlexOrder(dim + 1)
+        self._groebner = None
 
     def __eq__(self, other):
         if not isinstance(other, IdealHandle):
@@ -81,20 +109,14 @@ class IdealHandle:
     def __hash__(self):
         return hash(self.generators)
 
-    def _polynomial_generators(self) -> list:
-        out = []
-        for g in self.generators:
-            if g.is_zero():
-                continue
-            _, poly = g.to_polynomial()
-            out.append(_embed(poly))
-        out.append(_saturation_relation(self.dim))
-        return out
-
-    def groebner(self) -> list:
-        if self._basis is None:
-            self._basis = groebner_basis(self._polynomial_generators(), self._order)
-        return self._basis
+    def groebner(self) -> tuple:
+        """(basis, order): the reduced basis of the ideal's polynomial part
+        (see _saturate). The order has one variable more than the ideal
+        when the basis carries the saturation relation."""
+        if self._groebner is None:
+            forms = [g.to_polynomial()[1] for g in self.generators if not g.is_zero()]
+            self._groebner = _saturate(forms, self.dim)
+        return self._groebner
 
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.generators)
@@ -107,14 +129,17 @@ class IdealHandle:
             return True
         if self.is_zero():
             return False
+        basis, order = self.groebner()
         _, poly = L.to_polynomial()
-        return normal_form(_embed(poly), self.groebner(), self._order).is_zero()
+        if order.dim > self.dim:
+            poly = _embed(poly)
+        return normal_form(poly, basis, order).is_zero()
 
     def quotient_dimension(self):
         """Dimension of the Laurent quotient, None when infinite."""
         if self.is_zero():
             return None
-        monos = standard_monomials(self.groebner(), self._order)
+        monos = standard_monomials(*self.groebner())
         return None if monos is None else len(monos)
 
     def is_zero_dimensional(self) -> bool:
@@ -160,9 +185,10 @@ class IdealHandle:
             raise PositiveDimensional(
                 "infinite zero set; supply candidate exponentials"
             )
+        basis, order = self.groebner()
         per_coordinate = []
         for i in range(self.dim):
-            (g,) = eliminate(self.groebner(), self._order, i)
+            (g,) = eliminate(basis, order, i)
             coeffs = [ZERO] * (max(m[i] for m in g.terms) + 1)
             for mono, v in g.terms.items():
                 coeffs[mono[i]] = v

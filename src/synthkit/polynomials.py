@@ -40,6 +40,14 @@ def monomials_up_to(dim: int, n: int) -> list:
     return out
 
 
+def _scalar(value) -> GaussianRational:
+    """value as a Gaussian rational; TypeError if it is not a scalar."""
+    s = _coerce(value)
+    if s is None:
+        raise TypeError(f"coefficient {value!r} is not a scalar")
+    return s
+
+
 def _accumulate(out: dict, key, c) -> None:
     """Add the nonzero scalar c at key, dropping the key if the sum cancels."""
     prev = out.get(key)
@@ -68,9 +76,7 @@ class SparseTerms:
         if terms:
             for key, v in terms.items():
                 key = self._check_key(dim, key)
-                s = _coerce(v)
-                if s is None:
-                    raise TypeError(f"coefficient {v!r} is not a scalar")
+                s = _scalar(v)
                 if s:
                     _accumulate(cleaned, key, s)
         self.terms = cleaned
@@ -88,7 +94,7 @@ class SparseTerms:
 
     @classmethod
     def constant(cls, dim: int, value):
-        s = _coerce(value)
+        s = _scalar(value)
         if not s:
             return cls._raw(dim, {})
         return cls._raw(dim, {(0,) * dim: s})
@@ -150,7 +156,7 @@ class SparseTerms:
         return self.scaled(-1)
 
     def scaled(self, s):
-        s = _coerce(s)
+        s = _scalar(s)
         if not s:
             return self._raw(self.dim, {})
         return self._raw(self.dim, {k: v * s for k, v in self.terms.items()})

@@ -80,3 +80,17 @@ def count_groebner_builds(monkeypatch) -> list:
     monkeypatch.setattr(groebner, "groebner_basis", spy)
     monkeypatch.setattr(ideals, "groebner_basis", spy)
     return builds
+
+
+def count_s_polys(monkeypatch) -> list:
+    """Spy on groebner._s_poly; the list grows by one leading-monomial pair
+    per S-polynomial that Buchberger forms."""
+    original = groebner._s_poly
+    made = []
+
+    def spy(f, lmf, g, lmg):
+        made.append((lmf, lmg))
+        return original(f, lmf, g, lmg)
+
+    monkeypatch.setattr(groebner, "_s_poly", spy)
+    return made

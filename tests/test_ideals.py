@@ -1,5 +1,7 @@
 """Ideal membership, roots, local duals, and annihilation conditions."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,7 @@ from synthkit.ideals import (
 from synthkit.scalars import GaussianRational
 from synthkit.synthesis import solve_at_root
 
-from conftest import count_groebner_builds, dims, laurents, points
+from conftest import count_groebner_builds, count_s_polys, dims, laurents, points
 
 Z = LaurentPoly.variable(1, 0)
 ONE_L = LaurentPoly.constant(1, 1)
@@ -184,13 +186,14 @@ def test_zero_set_two_variables():
 
 def test_zero_set_builds_one_groebner_basis(monkeypatch):
     # the cached grevlex basis serves quotient_dimension and every
-    # coordinate's elimination; a block order per coordinate made it 4
+    # coordinate's elimination; a block order per coordinate made it 4, and
+    # the basis is built in the ideal's own 3 variables, without t
     builds = count_groebner_builds(monkeypatch)
     zs = [LaurentPoly.variable(3, i) for i in range(3)]
     exact, approx = IdealHandle([(z - 1) ** 2 for z in zs]).zero_set()
     assert approx == []
     assert [e.base for e in exact] == [(gr(1), gr(1), gr(1))]
-    assert builds == [4]
+    assert builds == [3]
 
 
 def test_zero_set_positive_dimensional():
@@ -204,6 +207,174 @@ def test_quotient_dimension():
     assert IdealHandle([ONE_L]).quotient_dimension() == 0
     z1 = LaurentPoly.variable(2, 0)
     assert IdealHandle([z1 - 1]).quotient_dimension() is None
+
+
+# saturation: the polynomial part of a Laurent ideal
+
+
+def test_fat_point_build_forms_no_s_polynomial(monkeypatch):
+    # (z_i - 1)^3 have coprime leading monomials, so in K[z1, z2, z3] they
+    # are already a basis and the product criterion skips every pair
+    made = count_s_polys(monkeypatch)
+    builds = count_groebner_builds(monkeypatch)
+    zs = [LaurentPoly.variable(3, i) for i in range(3)]
+    I = IdealHandle([(z - 1) ** 3 for z in zs])
+    assert I.quotient_dimension() == 27
+    assert made == []
+    assert builds == [3]
+
+
+def test_saturation_drops_a_root_off_the_torus(monkeypatch):
+    # in K[z] the roots are (0, 1) and (2, 1); z1 z2 is nilpotent at the
+    # first, so the basis carries the relation t z1 z2 - 1, which removes it
+    builds = count_groebner_builds(monkeypatch)
+    z1, z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    I = IdealHandle([z1 * (z1 - 2), z2 - 1])
+    assert I.quotient_dimension() == 1
+    assert I.contains(z1 - 2)
+    assert I.contains((z1 - 2) * z2**-3)
+    assert not I.contains(z1)
+    exact, approx = I.zero_set()
+    assert approx == []
+    assert [e.base for e in exact] == [(gr(2), gr(1))]
+    assert builds == [2, 3]
+
+
+def test_saturation_of_roots_only_off_the_torus_is_the_unit_ideal(monkeypatch):
+    builds = count_groebner_builds(monkeypatch)
+    z1, z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    I = IdealHandle([z1**2, z2 - 1])
+    assert I.quotient_dimension() == 0
+    assert I.contains(LaurentPoly.constant(2, 1))
+    assert builds == [2, 3]
+
+
+def test_saturation_falls_back_to_the_relation_in_one_more_variable(monkeypatch):
+    # the one Laurent root is (2, 1), but the variety in K[z] contains the
+    # line z1 = 0, so m = z1 z2 has no minimal polynomial on K[z]/I
+    builds = count_groebner_builds(monkeypatch)
+    z1, z2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    I = IdealHandle([z1 * (z2 - 1), z1 * (z1 - 2)])
+    assert I.quotient_dimension() == 1
+    assert I.contains(z1 - 2)
+    assert I.contains(z2 - 1)
+    assert not I.contains(z1 - 1)
+    exact, approx = I.zero_set()
+    assert approx == []
+    assert [e.base for e in exact] == [(gr(2), gr(1))]
+    assert builds == [2, 3]
+
+
+def _oracle_coefficient(rng):
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    im = rng.choice([0, 0, 0, rng.randint(-2, 2)])
+    return GaussianRational(re, im)
+
+
+def _oracle_ideal(seed):
+    """Seeded Laurent ideals in 2-3 variables, and membership candidates.
+
+    Each generator is z^a_j p_j, where p_j is led by a pure power of z_j,
+    so the Laurent ideal is (p_j) and is zero-dimensional. The monomial
+    factors, and lower terms without a constant, put roots on coordinate
+    hyperplanes in K[z]. Every fourth seed drops a generator, which makes
+    the ideal positive-dimensional. The candidates are the p_j shifted by
+    a Laurent monomial, a combination of them (all members) and a few
+    near misses.
+    """
+    rng = random.Random(seed)
+    dim = 2 + seed % 2
+    low = [m for m in itertools.product(range(2), repeat=dim) if sum(m) <= 1]
+    ps = []
+    for j in range(dim):
+        k = rng.choice([1, 2, 2])
+        terms = {tuple(k if i == j else 0 for i in range(dim)): GaussianRational(1)}
+        if k == 2:
+            for m in rng.sample(low[1:], 2):
+                terms[m] = _oracle_coefficient(rng)
+        if k == 1 or rng.random() < 0.6:
+            terms[low[0]] = rng.choice([-2, -1, 1, 2, Fraction(1, 2)])
+        ps.append(LaurentPoly(dim, terms))
+    if seed % 4 == 3:
+        ps.pop()
+    units = [
+        LaurentPoly(dim, {tuple(rng.randint(0, 1) for _ in range(dim)): 1})
+        if rng.random() < 0.6
+        else LaurentPoly.constant(dim, 1)
+        for _ in ps
+    ]
+    shift = LaurentPoly(dim, {tuple(-rng.randint(0, 2) for _ in range(dim)): 1})
+    combo = sum(
+        (p * LaurentPoly(dim, {m: _oracle_coefficient(rng) for m in low}) for p in ps),
+        LaurentPoly.zero(dim),
+    )
+    candidates = [p * shift for p in ps] + [
+        combo,
+        ps[0] + 1,
+        ps[0] * LaurentPoly.variable(dim, 0) + LaurentPoly.variable(dim, dim - 1),
+        LaurentPoly(dim, {m: _oracle_coefficient(rng) for m in low}),
+    ]
+    return [u * p for u, p in zip(units, ps)], candidates
+
+
+def _sympy_form(sympy, L, zs):
+    """The polynomial form of L: its terms shifted to the least exponents."""
+    low = [min(a[i] for a in L.terms) for i in range(L.dim)]
+    total = 0
+    for alpha, v in L.terms.items():
+        coeff = sympy.Rational(v.re.numerator, v.re.denominator) + sympy.I * sympy.Rational(
+            v.im.numerator, v.im.denominator
+        )
+        total += coeff * sympy.prod(z ** (a - l) for z, a, l in zip(zs, alpha, low))
+    return sympy.expand(total)
+
+
+def _sympy_quotient_dimension(sympy, basis, gens):
+    lms = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs]
+    bounds = [
+        min((lm[i] for lm in lms if sum(lm) == lm[i]), default=None)
+        for i in range(len(gens))
+    ]
+    if None in bounds:
+        return None
+    box = itertools.product(*(range(b) for b in bounds))
+    return sum(
+        1
+        for mono in box
+        if not any(all(a <= b for a, b in zip(lm, mono)) for lm in lms)
+    )
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_saturation_matches_sympy_rabinowitsch_basis(seed):
+    sympy = pytest.importorskip("sympy")
+    gens, candidates = _oracle_ideal(seed)
+    dim = gens[0].dim
+    zs = sympy.symbols(f"z0:{dim}")
+    t = sympy.Symbol("t")
+    forms = [_sympy_form(sympy, g, zs) for g in gens]
+    relation = t * sympy.prod(zs) - 1
+    basis = sympy.groebner(
+        forms + [relation], *zs, t, order="grevlex", domain=sympy.QQ_I
+    )
+    I = IdealHandle(gens)
+    assert I.quotient_dimension() == _sympy_quotient_dimension(sympy, basis, (*zs, t))
+    for L in candidates:
+        assert I.contains(L) == basis.contains(_sympy_form(sympy, L, zs)), L
+
+
+def test_saturation_oracle_reaches_every_branch(monkeypatch):
+    # one build in d variables when m is a unit, or a second one, the
+    # fallback in d + 1 variables
+    builds = count_groebner_builds(monkeypatch)
+    shapes = set()
+    for seed in range(24):
+        gens, _ = _oracle_ideal(seed)
+        dim = gens[0].dim
+        IdealHandle(gens).groebner()
+        shapes.add(tuple(b - dim for b in builds))
+        builds.clear()
+    assert shapes == {(0,), (0, 1)}
 
 
 # local dual spaces

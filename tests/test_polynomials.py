@@ -153,3 +153,15 @@ def test_laurent_negative_powers_only_for_monomials():
         (z + 1) ** -1
     with pytest.raises(ValueError):
         LaurentPoly.zero(2) ** -1
+
+
+@PARAMS
+@pytest.mark.parametrize("value", [2.5, "2", None], ids=repr)
+def test_non_scalars_are_refused(cls, value):
+    # a non-scalar is never read as zero
+    with pytest.raises(TypeError):
+        cls(1, {(0,): value})
+    with pytest.raises(TypeError):
+        cls.constant(1, value)
+    with pytest.raises(TypeError):
+        cls(1, {(1,): 1}).scaled(value)
