@@ -14,7 +14,7 @@ import sys
 
 from .derivations import Derivation
 from .dsl import Command, parse
-from .errors import SynthkitError
+from .errors import SynthkitError, UsageError
 from .suites import SUITES, active_seed, run_suite
 from .synthesis import biadditive_demo, solve_system, window_oracle
 
@@ -169,8 +169,15 @@ def run(cmd: Command, opts) -> tuple:
     return doc, code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise instead of printing usage text and exiting with status 2,
+        which would read as an inconclusive result."""
+        raise UsageError(message)
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="synthkit",
         description="Run a synthkit script (assignments plus one command verb) "
         "read from --input or stdin, printing one JSON document.",
@@ -187,8 +194,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    opts = _build_argparser().parse_args(argv)
     try:
+        opts = _build_argparser().parse_args(argv)
         if opts.input is None:
             text = sys.stdin.read()
         else:

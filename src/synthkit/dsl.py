@@ -26,17 +26,6 @@ from .measures import Exponential, Measure, delta
 from .polynomials import Polynomial
 from .scalars import GaussianRational
 
-VERBS = (
-    "solve",
-    "roots",
-    "member",
-    "root-order",
-    "dual-space",
-    "apply-derivation",
-    "verify",
-    "demo-rank",
-)
-
 _SIMPLE_VERBS = {"solve", "roots", "member", "verify"}
 _HYPHEN_VERBS = {
     ("root", "order"): "root-order",
@@ -438,6 +427,8 @@ class _Parser:
 
 def parse(text: str, dim: int | None = None) -> Command:
     """Evaluate a script to a Command; dim overrides inference."""
+    if dim is not None and dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     parser = _Parser(tokenize(text))
     env: dict = {}
     pending = None
@@ -582,10 +573,6 @@ def _materialize(verb: str, values: tuple, dim_option) -> Command:
 
 
 # canonical formatting
-
-
-def format_scalar(s: GaussianRational) -> str:
-    return str(s)
 
 
 def _point_term(x: tuple) -> str:

@@ -70,3 +70,9 @@ class ParseError(SynthkitError):
 
 class CommandError(SynthkitError):
     code = "command-error"
+
+
+class UsageError(SynthkitError):
+    """A command line the argument parser rejects."""
+
+    code = "usage-error"

@@ -1,12 +1,12 @@
 """Buchberger engine over Gaussian rationals.
 
-One order, graded reverse lexicographic with coordinates in index order.
-Ties in pair selection are broken by exponent-vector lexicographic
-comparison, and all basis lists are kept in sorted order, so results are
-deterministic. Elimination needs no second order: for a zero-dimensional
-ideal, `minimal_polynomial` reads the minimal polynomial of a monomial's
-multiplication map off normal forms against the grevlex basis, and
-`eliminate` is its case z_i, the generator of I ∩ K[z_i].
+One monomial order, graded reverse lexicographic with coordinates in
+index order (`polynomials.grevlex_key`); every function here uses it, so
+none takes an order. Ties in pair selection are broken by exponent-vector
+lexicographic comparison, and all basis lists are kept in sorted order,
+so results are deterministic. Elimination needs no second order:
+`eliminate` returns the generator of I ∩ K[z_i], the minimal polynomial
+of multiplication by z_i on K[z]/I, read off the grevlex basis.
 """
 
 from __future__ import annotations
@@ -20,24 +20,21 @@ from .polynomials import Polynomial, grevlex_key
 from .scalars import ONE, ZERO
 
 
-class GrevlexOrder:
-    def __init__(self, dim: int):
-        self.dim = dim
+def heap_key(alpha: tuple):
+    """Ascending in this key is descending in grevlex."""
+    return (-sum(alpha), alpha[::-1])
 
-    def key(self, alpha: tuple):
-        return grevlex_key(alpha)
 
-    def heap_key(self, alpha: tuple):
-        """Ascending in this key is descending in the order."""
-        return (-sum(alpha), alpha[::-1])
+def _lm(terms: dict) -> tuple:
+    return max(terms, key=grevlex_key)
 
 
 def _divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _monic(terms: dict, order) -> dict:
-    lm = max(terms, key=order.key)
+def _monic(terms: dict) -> dict:
+    lm = _lm(terms)
     lc = terms[lm]
     if lc.is_one():
         return dict(terms)
@@ -45,20 +42,20 @@ def _monic(terms: dict, order) -> dict:
     return {m: v * inv for m, v in terms.items()}
 
 
-def _prep(basis: list, order) -> list:
+def _prep(basis: list) -> list:
     out = []
     for terms in basis:
-        lm = max(terms, key=order.key)
+        lm = _lm(terms)
         out.append((lm, terms[lm].inverse(), terms))
     return out
 
 
-def _normal_form_dict(terms: dict, prepped: list, order) -> dict:
+def _normal_form_dict(terms: dict, prepped: list) -> dict:
     result: dict = {}
     work = dict(terms)
     # Leading terms come off a heap; an entry whose term cancelled after it
     # was queued is skipped, and a term queued twice is processed once.
-    heap = [(order.heap_key(m), m) for m in work]
+    heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
     while heap:
         lm = heapq.heappop(heap)[1]
@@ -84,7 +81,7 @@ def _normal_form_dict(terms: dict, prepped: list, order) -> dict:
             prev = work.get(key)
             if prev is None:
                 work[key] = -c
-                heapq.heappush(heap, (order.heap_key(key), key))
+                heapq.heappush(heap, (heap_key(key), key))
                 continue
             nv = prev - c
             if nv:
@@ -111,7 +108,7 @@ def _s_poly(f: dict, lmf: tuple, g: dict, lmg: tuple) -> dict:
     return out
 
 
-def _interreduce(current: list, order) -> list:
+def _interreduce(current: list) -> list:
     """Reduce each element by the others until nothing changes.
 
     The elements are monic and kept as (leading monomial, ONE, terms)
@@ -124,26 +121,28 @@ def _interreduce(current: list, order) -> list:
         for i, entry in enumerate(current):
             g = entry[2]
             others = reduced + current[i + 1 :]
-            nf = _normal_form_dict(g, others, order) if others else g
+            nf = _normal_form_dict(g, others) if others else g
             if nf == g:
                 reduced.append(entry)
                 continue
             changed = True
             if nf:
-                nf = _monic(nf, order)
-                reduced.append((max(nf, key=order.key), ONE, nf))
+                nf = _monic(nf)
+                reduced.append((_lm(nf), ONE, nf))
         current = reduced
-    current.sort(key=lambda entry: order.key(entry[0]))
+    current.sort(key=lambda entry: grevlex_key(entry[0]))
     return [terms for _, _, terms in current]
 
 
-def groebner_basis(polys: Iterable, order) -> list:
+def groebner_basis(polys: Iterable) -> list:
     """Reduced, monic, deterministically sorted basis."""
-    basis = [dict(p.terms) for p in polys if not p.is_zero()]
-    basis = [_monic(t, order) for t in basis]
-    basis.sort(key=lambda t: order.key(max(t, key=order.key)))
-    lms = [max(t, key=order.key) for t in basis]
-    prepped = _prep(basis, order)  # grows with the basis, one entry each
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return []
+    basis = [_monic(p.terms) for p in polys]
+    basis.sort(key=lambda t: grevlex_key(_lm(t)))
+    lms = [_lm(t) for t in basis]
+    prepped = _prep(basis)  # grows with the basis, one entry each
 
     def lcm_of(i, j):
         return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
@@ -162,34 +161,33 @@ def groebner_basis(polys: Iterable, order) -> list:
         s = _s_poly(basis[i], lms[i], basis[j], lms[j])
         if not s:
             continue
-        nf = _normal_form_dict(s, prepped, order)
+        nf = _normal_form_dict(s, prepped)
         if not nf:
             continue
-        nf = _monic(nf, order)
-        lm = max(nf, key=order.key)
+        nf = _monic(nf)
+        lm = _lm(nf)
         basis.append(nf)
         lms.append(lm)
         prepped.append((lm, ONE, nf))
         new = len(basis) - 1
         for k in range(new):
             pairs.add((k, new))
-    reduced = _interreduce(prepped, order)
-    dim = order.dim
-    return [Polynomial(dim, t) for t in reduced]
+    dim = polys[0].dim
+    return [Polynomial(dim, t) for t in _interreduce(prepped)]
 
 
-def normal_form(f: Polynomial, basis: list, order) -> Polynomial:
+def normal_form(f: Polynomial, basis: list) -> Polynomial:
     if f.is_zero() or not basis:
         return f
-    prepped = _prep([g.terms for g in basis], order)
-    return Polynomial(f.dim, _normal_form_dict(f.terms, prepped, order))
+    prepped = _prep([g.terms for g in basis])
+    return Polynomial(f.dim, _normal_form_dict(f.terms, prepped))
 
 
-def leading_monomials(basis: list, order) -> list:
-    return [max(g.terms, key=order.key) for g in basis]
+def leading_monomials(basis: list) -> list:
+    return [_lm(g.terms) for g in basis]
 
 
-def standard_monomials(basis: list, order):
+def standard_monomials(basis: list):
     """Monomials outside the leading ideal; None when infinitely many.
 
     Finiteness criterion: every variable shows up as a pure power among
@@ -197,8 +195,8 @@ def standard_monomials(basis: list, order):
     """
     if not basis:
         return None
-    dim = order.dim
-    lms = leading_monomials(basis, order)
+    dim = basis[0].dim
+    lms = leading_monomials(basis)
     if any(sum(lm) == 0 for lm in lms):
         return []
     bounds = [None] * dim
@@ -217,28 +215,40 @@ def standard_monomials(basis: list, order):
     return sorted(out, key=grevlex_key)
 
 
-def minimal_polynomial(basis: list, order, step: tuple) -> Polynomial:
-    """The minimal polynomial of multiplication by z^step on K[z]/I.
+def eliminate(basis: list, keep: int) -> Polynomial:
+    """The monic generator of I ∩ K[z_keep], where `basis` is the reduced
+    basis of a zero-dimensional ideal I.
 
-    `basis` is the reduced basis, in `order`, of a zero-dimensional ideal
-    I. The result is monic, with s^k written as the monomial z^(k*step)
-    (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2 §4). The normal
-    forms of 1, z^step, z^(2*step), ..., each the previous one times
-    z^step reduced again, are columns over the standard monomials, up to
-    the first that depends on those before. The one free column of their
-    kernel is the last, so the kernel vector is that polynomial, monic.
-    The unit ideal has no standard monomials, so 1 reduces to zero and the
-    result is 1.
+    It is the minimal polynomial of multiplication by z_keep on K[z]/I
+    (Faugère, Gianni, Lazard & Mora, JSC 16, 1993; Cox, Little & O'Shea,
+    Using Algebraic Geometry, ch. 2 §4).
+
+    When a basis element g lies in K[z_keep] alone, g is that generator.
+    Its leading monomial is z_keep^n, n its degree. No other leading
+    monomial divides z_keep^n, because the basis is reduced, so none
+    divides z_keep^j for j < n either: 1, z_keep, ..., z_keep^(n-1) are
+    standard, hence independent modulo I, and no nonzero polynomial in
+    z_keep of degree below n lies in I. The unit ideal's basis is [1].
+
+    Otherwise the normal forms of 1, z_keep, z_keep^2, ..., each the
+    previous one times z_keep reduced again, are columns over the standard
+    monomials, up to the first that depends on those before. The one free
+    column of their kernel is the last, so the kernel vector is the
+    generator, monic.
     """
-    std = standard_monomials(basis, order)
+    for g in basis:
+        if all(sum(m) == m[keep] for m in g.terms):
+            return g
+    std = standard_monomials(basis)
     if std is None:
-        raise ValueError("a minimal polynomial needs a zero-dimensional ideal")
-    dim = order.dim
+        raise ValueError("elimination needs a zero-dimensional ideal")
+    dim = basis[0].dim
+    step = tuple(int(j == keep) for j in range(dim))
     index = {m: i for i, m in enumerate(std)}
-    prepped = _prep([g.terms for g in basis], order)
+    prepped = _prep([g.terms for g in basis])
     space = RowSpace(len(std))
     columns: list = []
-    nf = _normal_form_dict({(0,) * dim: ONE}, prepped, order)
+    nf = _normal_form_dict({(0,) * dim: ONE}, prepped)
     while True:
         column = [ZERO] * len(std)
         for m, v in nf.items():
@@ -247,20 +257,8 @@ def minimal_polynomial(basis: list, order, step: tuple) -> Polynomial:
         if not space.add(column):
             break
         shifted = {tuple(a + b for a, b in zip(m, step)): v for m, v in nf.items()}
-        nf = _normal_form_dict(shifted, prepped, order)
+        nf = _normal_form_dict(shifted, prepped)
     rows = [[column[r] for column in columns] for r in range(len(std))]
     (coeffs,) = nullspace(rows, len(columns))
     terms = {tuple(k * e for e in step): c for k, c in enumerate(coeffs) if c}
     return Polynomial(dim, terms)
-
-
-def eliminate(basis: list, order, keep: int) -> list:
-    """The monic generator of I ∩ K[z_keep], as a one-element list.
-
-    It is the minimal polynomial of multiplication by z_keep on K[z]/I
-    (Faugère, Gianni, Lazard & Mora, JSC 16, 1993). A block order
-    eliminating the other variables gives the same polynomial: its reduced
-    basis meets K[z_keep] in exactly one monic generator of I ∩ K[z_keep].
-    """
-    step = tuple(int(j == keep) for j in range(order.dim))
-    return [minimal_polynomial(basis, order, step)]

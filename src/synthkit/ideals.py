@@ -2,12 +2,14 @@
 
 A Laurent ideal J is handled through its polynomial part J ∩ K[z], the
 saturation of the ideal I of its polynomial forms by m = z_1 ... z_d, so
-Laurent units never affect membership. When m is a unit on a
-zero-dimensional K[z]/I, as its multiplication map shows, I is already
-saturated and its basis lives in K[z]; otherwise the basis carries the
-relation t * m - 1 in one more variable (see _saturate). Local structure
-at a root is read off moment functionals: q belongs to the dual space at
-c when sum mu(x) q(x) c^-x kills every member of the ideal.
+Laurent units never affect membership. Each coordinate z_i has an
+eliminant, the generator of I ∩ K[z_i]. When I is zero-dimensional and
+no eliminant vanishes at 0, m is a unit on K[z]/I, I is already saturated
+and its basis lives in K[z]; otherwise the basis carries the relation
+t * m - 1 in one more variable (see _saturate). The roots are read off
+the same eliminants, in every dimension. Local structure at a root is
+read off moment functionals: q belongs to the dual space at c when
+sum mu(x) q(x) c^-x kills every member of the ideal.
 """
 
 from __future__ import annotations
@@ -29,20 +31,12 @@ from .errors import (
 )
 from .exppoly import ExpPolynomial, span_closure, translate_closure, unit_steps
 from .fourier import LaurentPoly, inverse_transform
-from .groebner import (
-    GrevlexOrder,
-    eliminate,
-    groebner_basis,
-    minimal_polynomial,
-    normal_form,
-    standard_monomials,
-)
+from .groebner import eliminate, groebner_basis, normal_form, standard_monomials
 from .linalg import nullspace
 from .measures import Exponential, Measure, neg_point
 from .polynomials import Polynomial, grevlex_key, monomials_of_degree
 from .scalars import ONE, ZERO
 from .univariate import ApproxRoot, _to_mpc, find_roots
-from .univariate import gcd as dense_gcd
 
 
 def _embed(poly: Polynomial) -> Polynomial:
@@ -58,12 +52,14 @@ def _saturation_relation(dim: int) -> Polynomial:
 
 
 def _saturate(forms: list, dim: int) -> tuple:
-    """A reduced grevlex basis for I : m^infinity, and its order, where I
-    is generated by `forms` and m = z_1 ... z_d.
+    """A reduced grevlex basis for I : m^infinity, where I is generated by
+    `forms` and m = z_1 ... z_d, and the eliminants of z_1, ..., z_d when
+    that basis lies in K[z] (None otherwise).
 
-    When I is zero-dimensional and the minimal polynomial of m on K[z]/I
-    has a nonzero constant term, m is a unit there and I is already
-    saturated (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 2 §4).
+    On a zero-dimensional K[z]/I, m is a unit exactly when every z_i is,
+    that is when the minimal polynomial of each z_i, its eliminant, has a
+    nonzero constant term; then I is already saturated (Cox, Little &
+    O'Shea, Using Algebraic Geometry, ch. 2 §4).
 
     Otherwise I is positive-dimensional or its variety meets a coordinate
     hyperplane, as for (z1 (z2 - 1), z1 (z1 - 2)), which contains the line
@@ -72,15 +68,13 @@ def _saturate(forms: list, dim: int) -> tuple:
     its quotient is the Laurent quotient (Ideals, Varieties, and
     Algorithms, ch. 4 §4).
     """
-    order = GrevlexOrder(dim)
-    basis = groebner_basis(forms, order)
-    if standard_monomials(basis, order) is not None:
-        mu = minimal_polynomial(basis, order, (1,) * dim)
-        if (0,) * dim in mu.terms:
-            return basis, order
-    order = GrevlexOrder(dim + 1)
+    basis = groebner_basis(forms)
+    if standard_monomials(basis) is not None:
+        eliminants = [eliminate(basis, i) for i in range(dim)]
+        if all((0,) * dim in g.terms for g in eliminants):
+            return basis, eliminants
     lifted = [_embed(g) for g in basis] + [_saturation_relation(dim)]
-    return groebner_basis(lifted, order), order
+    return groebner_basis(lifted), None
 
 
 class IdealHandle:
@@ -100,6 +94,7 @@ class IdealHandle:
         self.dim = dim
         self.generators = tuple(gens)
         self._groebner = None
+        self._eliminants = None
 
     def __eq__(self, other):
         if not isinstance(other, IdealHandle):
@@ -109,13 +104,13 @@ class IdealHandle:
     def __hash__(self):
         return hash(self.generators)
 
-    def groebner(self) -> tuple:
-        """(basis, order): the reduced basis of the ideal's polynomial part
-        (see _saturate). The order has one variable more than the ideal
+    def groebner(self) -> list:
+        """The reduced basis of the ideal's polynomial part (see
+        _saturate). Its polynomials have one variable more than the ideal
         when the basis carries the saturation relation."""
         if self._groebner is None:
             forms = [g.to_polynomial()[1] for g in self.generators if not g.is_zero()]
-            self._groebner = _saturate(forms, self.dim)
+            self._groebner, self._eliminants = _saturate(forms, self.dim)
         return self._groebner
 
     def is_zero(self) -> bool:
@@ -129,17 +124,17 @@ class IdealHandle:
             return True
         if self.is_zero():
             return False
-        basis, order = self.groebner()
+        basis = self.groebner()
         _, poly = L.to_polynomial()
-        if order.dim > self.dim:
+        if basis[0].dim > self.dim:
             poly = _embed(poly)
-        return normal_form(poly, basis, order).is_zero()
+        return normal_form(poly, basis).is_zero()
 
     def quotient_dimension(self):
         """Dimension of the Laurent quotient, None when infinite."""
         if self.is_zero():
             return None
-        monos = standard_monomials(*self.groebner())
+        monos = standard_monomials(self.groebner())
         return None if monos is None else len(monos)
 
     def is_zero_dimensional(self) -> bool:
@@ -158,37 +153,19 @@ class IdealHandle:
 
         Returns (exact, approximate): exact roots as Exponential bases,
         approximate ones as per-coordinate enclosure reports that are
-        never consumed by exact computations.
+        never consumed by exact computations. The candidates are the
+        combinations of the roots of the coordinates' eliminants.
         """
         if self.is_zero():
             raise PositiveDimensional("zero ideal; supply candidate exponentials")
-        if self.dim == 1:
-            return self._zero_set_univariate()
-        return self._zero_set_elimination()
-
-    def _zero_set_univariate(self):
-        dense = []
-        for g in self.generators:
-            if g.is_zero():
-                continue
-            _, poly = g.to_polynomial()
-            coeffs = [ZERO] * (max(a[0] for a in poly.terms) + 1)
-            for alpha, v in poly.terms.items():
-                coeffs[alpha[0]] = v
-            dense = coeffs if not dense else dense_gcd(dense, coeffs)
-        exact, approx = find_roots(dense)
-        exact_exps = [Exponential((c,)) for c, _ in exact]
-        return exact_exps, [ApproxExponential((a,)) for a in approx]
-
-    def _zero_set_elimination(self):
         if not self.is_zero_dimensional():
             raise PositiveDimensional(
                 "infinite zero set; supply candidate exponentials"
             )
-        basis, order = self.groebner()
+        if self._eliminants is None:  # the basis carries the relation
+            self._eliminants = [eliminate(self.groebner(), i) for i in range(self.dim)]
         per_coordinate = []
-        for i in range(self.dim):
-            (g,) = eliminate(basis, order, i)
+        for i, g in enumerate(self._eliminants):
             coeffs = [ZERO] * (max(m[i] for m in g.terms) + 1)
             for mono, v in g.terms.items():
                 coeffs[mono[i]] = v
@@ -196,6 +173,7 @@ class IdealHandle:
             per_coordinate.append(
                 [("exact", c) for c, _ in exact] + [("approx", a) for a in approx]
             )
+        forms = [g.to_polynomial()[1] for g in self.generators if not g.is_zero()]
         exact_out = []
         approx_out = []
         for combo in itertools.product(*per_coordinate):
@@ -204,40 +182,11 @@ class IdealHandle:
                 if all(g.evaluate(base).is_zero() for g in self.generators):
                     exact_out.append(base)
             else:
-                report = self._verify_numeric_combo(combo)
+                report = _approx_root(forms, combo)
                 if report is not None:
                     approx_out.append(report)
         exact_out.sort(key=lambda e: e.sort_key())
         return exact_out, approx_out
-
-    def _verify_numeric_combo(self, combo):
-        coords = []
-        with mpmath.workdps(60):
-            point = []
-            for kind, value in combo:
-                if kind == "exact":
-                    coords.append(
-                        ApproxRoot(
-                            re=value.re,
-                            im=value.im,
-                            radius=Fraction(0),
-                            multiplicity=1,
-                            certified=True,
-                        )
-                    )
-                else:
-                    coords.append(value)
-                point.append(_to_mpc(value))
-            for g in self.generators:
-                total = mpmath.mpc(0)
-                for alpha, v in g.terms.items():
-                    term = _to_mpc(v)
-                    for x, a in zip(point, alpha):
-                        term *= x**a
-                    total += term
-                if abs(total) > mpmath.mpf(10) ** -25:
-                    return None
-        return ApproxExponential(tuple(coords))
 
     def local_dual_space(self, c: Exponential, cutoff: int | None = None):
         """Moment functionals of bounded degree killing the whole ideal.
@@ -272,6 +221,49 @@ class IdealHandle:
 
     def _is_root(self, c: Exponential) -> bool:
         return all(g.evaluate(c).is_zero() for g in self.generators)
+
+
+def _approx_root(forms: list, combo):
+    """The combination of coordinate roots as an ApproxExponential, or None
+    when some polynomial form f of a generator is plainly nonzero there.
+
+    With centre p and reported radii r (0 for an exact coordinate), the
+    combination stays when |f(p)| is at most
+    10^-25 sum_a |f_a p^a| + sum_a |f_a| ((|p| + 2r)^a - |p|^a). The first
+    term covers the rounding of the evaluation. The second bounds
+    |f(q) - f(p)| for q within distance 2r of p in each coordinate, which
+    holds the reported box, so a true root whose centre is off by the
+    rounding of its report is kept. Both scale with the coefficients and
+    with the roots, large or small.
+    """
+    coords = tuple(
+        value
+        if kind == "approx"
+        else ApproxRoot(re=value.re, im=value.im, radius=Fraction(0), multiplicity=1, certified=True)
+        for kind, value in combo
+    )
+    with mpmath.workdps(60):
+        point = [_to_mpc(c) for c in coords]
+        reach = [
+            abs(x) + 2 * mpmath.mpf(c.radius.numerator) / c.radius.denominator
+            for x, c in zip(point, coords)
+        ]
+        for f in forms:
+            total = mpmath.mpc(0)
+            scale = spread = mpmath.mpf(0)
+            for alpha, v in f.terms.items():
+                term = _to_mpc(v)
+                wide = abs(term)
+                for x, y, a in zip(point, reach, alpha):
+                    term *= x**a
+                    wide *= y**a
+                size = abs(term)
+                total += term
+                scale += size
+                spread += wide - size
+            if abs(total) > mpmath.mpf(10) ** -25 * scale + spread:
+                return None
+    return ApproxExponential(coords)
 
 
 def _quotient_bound(handle: IdealHandle, message: str) -> int:

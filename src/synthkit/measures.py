@@ -27,10 +27,6 @@ def check_point(dim: int, x) -> Point:
     return x
 
 
-def add_points(x: Point, y: Point) -> Point:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def sub_points(x: Point, y: Point) -> Point:
     return tuple(a - b for a, b in zip(x, y))
 
@@ -66,12 +62,6 @@ class Exponential:
                 result = result * c**e
         return result
 
-    def is_trivial(self) -> bool:
-        return all(c.is_one() for c in self.base)
-
-    def inverse(self) -> "Exponential":
-        return Exponential([c.inverse() for c in self.base])
-
     def __eq__(self, other):
         return isinstance(other, Exponential) and self.base == other.base
 
@@ -99,19 +89,6 @@ class Measure(SparseTerms):
 
     def support(self) -> list:
         return sorted(self.terms)
-
-    def total_mass(self) -> GaussianRational:
-        total = GaussianRational(0)
-        for v in self.terms.values():
-            total = total + v
-        return total
-
-    def translated(self, y) -> "Measure":
-        """Convolution with delta(y): mass at x moves to x + y."""
-        y = check_point(self.dim, y)
-        return Measure._raw(
-            self.dim, {add_points(x, y): v for x, v in self.terms.items()}
-        )
 
     def __repr__(self):
         items = ", ".join(f"{x}: {v}" for x, v in sorted(self.terms.items()))

@@ -16,7 +16,7 @@ from synthkit import (
     Measure,
     Polynomial,
 )
-from synthkit import groebner, ideals
+from synthkit import groebner, ideals, linalg
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -73,9 +73,10 @@ def count_groebner_builds(monkeypatch) -> list:
     original = groebner.groebner_basis
     builds = []
 
-    def spy(polys, order):
-        builds.append(order.dim)
-        return original(polys, order)
+    def spy(polys):
+        polys = list(polys)
+        builds.append(polys[0].dim)
+        return original(polys)
 
     monkeypatch.setattr(groebner, "groebner_basis", spy)
     monkeypatch.setattr(ideals, "groebner_basis", spy)
@@ -94,3 +95,17 @@ def count_s_polys(monkeypatch) -> list:
 
     monkeypatch.setattr(groebner, "_s_poly", spy)
     return made
+
+
+def count_row_space_adds(monkeypatch) -> list:
+    """Spy on linalg.RowSpace.add; the list grows by the space's width per
+    vector offered to any row space."""
+    original = linalg.RowSpace.add
+    widths = []
+
+    def spy(self, vec):
+        widths.append(self.width)
+        return original(self, vec)
+
+    monkeypatch.setattr(linalg.RowSpace, "add", spy)
+    return widths

@@ -81,6 +81,31 @@ def test_roots_exact_when_a_coarse_candidate_is_another_root(capsys, monkeypatch
     assert doc["approximate"] == []
 
 
+@pytest.mark.parametrize(
+    "script, exact, approximate",
+    [
+        # large coefficients: |g(p)| at a true root's centre is far above
+        # any absolute bound, but tiny next to the size of g's terms there
+        ("roots ideal(10^30*(z1^2-2), z2-1)\n", 0, 2),
+        ("solve 10^30*(d[-2,0]-2*d[0,0]) d[0,-1]-d[0,0]\n", 0, 2),
+        # centres whose rounding is large next to the root, or next to its
+        # distance from a simple rational: the reported radius covers it
+        ("roots z^2-10^-60\n", 0, 2),
+        ("roots z-10^-60*z^-1\n", 0, 2),
+        ("roots (z-1/3-10^-22)*(z-5)\n", 1, 1),
+    ],
+)
+def test_numeric_filter_keeps_true_roots(capsys, monkeypatch, script, exact, approximate):
+    code, out = run_cli(capsys, monkeypatch, script)
+    assert code == 2
+    doc = json.loads(out)
+    if doc["verb"] == "solve":
+        assert (len(doc["roots"]), len(doc["approximate_roots"])) == (exact, approximate)
+    else:
+        assert (len(doc["exact"]), len(doc["approximate"])) == (exact, approximate)
+    assert doc["inconclusive"] is True
+
+
 def test_solve_keeps_roots_behind_a_coarse_candidate(capsys, monkeypatch):
     script = (
         "solve (d[-1,0]-(2/3)*d[0,0])^2*(d[-1,0]-(1)*d[0,0])^2"
@@ -224,6 +249,10 @@ def test_missing_input_file(capsys, monkeypatch):
         ("solve d[0] - d[1]\n", ("--window", "1"), "window-too-small"),
         ("verify not-a-suite\n", (), "command-error"),
         ("member ideal(z1-z2) z1\n", ("--dim", "1"), "dimension-mismatch"),
+        ("roots z-1\n", ("--bogus",), "usage-error"),
+        ("roots z-1\n", ("--dim", "abc"), "usage-error"),
+        ("roots z-1\n", ("--dim", "0"), "invalid-value"),
+        ("roots z-1\n", ("--dim", "-1"), "invalid-value"),
     ],
 )
 def test_error_codes(capsys, monkeypatch, script, argv, expected_code):
@@ -251,6 +280,13 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc):
         "schema": 1,
         "error": {"code": "internal-error", "message": f"{type(exc).__name__}: {exc}"},
     }
+
+
+def test_help_keeps_its_text(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as stop:
+        run_cli(capsys, monkeypatch, "", "--help")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: synthkit")
 
 
 def test_syntax_error_reports_position(capsys, monkeypatch):

@@ -22,6 +22,7 @@ from synthkit.errors import (
 )
 from synthkit.fourier import inverse_transform
 from synthkit.ideals import (
+    ApproxExponential,
     annihilates_translates,
     derivation_ideal_member,
     difference_closure,
@@ -29,10 +30,19 @@ from synthkit.ideals import (
     member,
     vanishing_order,
 )
-from synthkit.scalars import GaussianRational
+from synthkit.scalars import ZERO, GaussianRational
 from synthkit.synthesis import solve_at_root
+from synthkit.univariate import find_roots
+from synthkit.univariate import gcd as dense_gcd
 
-from conftest import count_groebner_builds, count_s_polys, dims, laurents, points
+from conftest import (
+    count_groebner_builds,
+    count_row_space_adds,
+    count_s_polys,
+    dims,
+    laurents,
+    points,
+)
 
 Z = LaurentPoly.variable(1, 0)
 ONE_L = LaurentPoly.constant(1, 1)
@@ -194,6 +204,72 @@ def test_zero_set_builds_one_groebner_basis(monkeypatch):
     assert approx == []
     assert [e.base for e in exact] == [(gr(1), gr(1), gr(1))]
     assert builds == [3]
+
+
+def test_fat_point_eliminants_are_basis_elements(monkeypatch):
+    # each (z_i - 1)^3 is the basis element in z_i alone, so it is z_i's
+    # eliminant: saturation and roots offer no vector to a row space
+    adds = count_row_space_adds(monkeypatch)
+    zs = [LaurentPoly.variable(3, i) for i in range(3)]
+    I = IdealHandle([(z - 1) ** 3 for z in zs])
+    exact, approx = I.zero_set()
+    assert I.quotient_dimension() == 27
+    assert approx == []
+    assert [e.base for e in exact] == [(gr(1), gr(1), gr(1))]
+    assert adds == []
+
+
+def _zero_set_by_gcd(generators):
+    """Reference for 1-D ideals: the roots of the gcd of the generators'
+    polynomial forms, the route zero_set took in one variable before it
+    read every dimension off the coordinates' eliminants."""
+    dense = []
+    for g in generators:
+        if g.is_zero():
+            continue
+        _, poly = g.to_polynomial()
+        coeffs = [ZERO] * (max(a[0] for a in poly.terms) + 1)
+        for alpha, v in poly.terms.items():
+            coeffs[alpha[0]] = v
+        dense = coeffs if not dense else dense_gcd(dense, coeffs)
+    exact, approx = find_roots(dense)
+    return [Exponential((c,)) for c, _ in exact], [ApproxExponential((a,)) for a in approx]
+
+
+_UNIVARIATE_FACTORS = (
+    Z - 1,
+    Z - 2,
+    Z + 1,
+    Z - gr(1, 2),
+    Z - GaussianRational(0, 1),
+    Z - GaussianRational(1, 1),
+    Z * Z - 2,  # irrational roots
+    Z * Z - Z - 1,
+    Z * Z + Z + 1,  # complex roots of unity
+    Z * Z - gr(1, 10**60),  # roots far below the centres' rounding
+)
+
+
+def _univariate_ideal(seed):
+    """Generators z^k c h f_j sharing the factor h, each with its own
+    cofactor f_j, unit monomial z^k (a root at 0 in K[z] for k > 0) and
+    scalar c, from 1 up to 10^30."""
+    rng = random.Random(seed)
+    common = LaurentPoly.constant(1, 1)
+    for _ in range(rng.randint(0, 3)):
+        common = common * rng.choice(_UNIVARIATE_FACTORS)
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        cofactor = rng.choice(_UNIVARIATE_FACTORS) * rng.choice(_UNIVARIATE_FACTORS)
+        scale = gr(rng.choice([1, -3, 7, 10**30])) * GaussianRational(1, rng.randint(-1, 1))
+        gens.append(Z ** rng.randint(-2, 2) * common * cofactor * scale)
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_univariate_zero_set_matches_the_gcd_route(seed):
+    gens = _univariate_ideal(seed)
+    assert IdealHandle(gens).zero_set() == _zero_set_by_gcd(gens)
 
 
 def test_zero_set_positive_dimensional():
