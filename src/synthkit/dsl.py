@@ -8,9 +8,7 @@ exponential bases as parenthesized vectors ``(1, 1/2+1/2i)``, and
 ``ideal(...)`` of Laurent polynomials. Operators are ``+ - * ^`` with the
 usual precedence; there is no implicit multiplication.
 
-``parse`` evaluates a script to a Command; ``format_command`` renders a
-Command back to canonical text that reparses to an equal Command (given
-the same dimension).
+``parse`` evaluates a script to a Command.
 """
 
 from __future__ import annotations
@@ -571,73 +569,3 @@ def _materialize(verb: str, values: tuple, dim_option) -> Command:
         raise CommandError(f"unknown verb {verb!r}")
     return Command(verb=verb, args=args, dim=target)
 
-
-# canonical formatting
-
-
-def _point_term(x: tuple) -> str:
-    return "d[" + ",".join(str(c) for c in x) + "]"
-
-
-def format_measure(mu: Measure) -> str:
-    if not mu.terms:
-        return "(0)*" + _point_term((0,) * mu.dim)
-    parts = [
-        f"({mu.terms[x]})*{_point_term(x)}" for x in sorted(mu.terms)
-    ]
-    return " + ".join(parts)
-
-
-def _format_terms(terms: dict, letter: str) -> str:
-    if not terms:
-        return "(0)"
-    parts = []
-    for alpha in sorted(terms):
-        factors = [f"({terms[alpha]})"]
-        for idx, e in enumerate(alpha, start=1):
-            if e == 0:
-                continue
-            factors.append(f"{letter}{idx}" + ("" if e == 1 else f"^{e}"))
-        parts.append("*".join(factors))
-    return " + ".join(parts)
-
-
-def format_laurent(L: LaurentPoly) -> str:
-    return _format_terms(L.terms, "z")
-
-
-def format_polynomial(p: Polynomial) -> str:
-    return _format_terms(p.terms, "x")
-
-
-def format_exponential(c: Exponential) -> str:
-    return "(" + ", ".join(str(v) for v in c.base) + ")"
-
-
-def format_ideal(I: IdealHandle) -> str:
-    return "ideal(" + ", ".join(format_laurent(g) for g in I.generators) + ")"
-
-
-def format_value(v) -> str:
-    if isinstance(v, Measure):
-        return format_measure(v)
-    if isinstance(v, LaurentPoly):
-        return format_laurent(v)
-    if isinstance(v, Polynomial):
-        return format_polynomial(v)
-    if isinstance(v, Exponential):
-        return format_exponential(v)
-    if isinstance(v, IdealHandle):
-        return format_ideal(v)
-    if isinstance(v, GaussianRational):
-        return f"({v})"
-    if isinstance(v, int):
-        return str(v)
-    raise TypeError(f"cannot format {v!r}")
-
-
-def format_command(cmd: Command) -> str:
-    if cmd.verb in ("verify", "demo-rank"):
-        parts = [cmd.verb] + [str(a) for a in cmd.args]
-        return " ".join(parts)
-    return " ".join([cmd.verb] + [format_value(a) for a in cmd.args])

@@ -357,18 +357,20 @@ def suite_derivation_ideal(rng: random.Random, trials: int = 100) -> SuiteResult
     return result
 
 
+_LEFRANC_POOL = (
+    GaussianRational(1),
+    GaussianRational(-1),
+    GaussianRational(2),
+    GaussianRational(Fraction(1, 2)),
+    GaussianRational(0, 1),
+    GaussianRational(3),
+    GaussianRational(Fraction(-1, 2)),
+)
+
+
 def _lefranc_instance(rng: random.Random):
-    pool = (
-        GaussianRational(1),
-        GaussianRational(-1),
-        GaussianRational(2),
-        GaussianRational(Fraction(1, 2)),
-        GaussianRational(0, 1),
-        GaussianRational(3),
-        GaussianRational(Fraction(-1, 2)),
-    )
     count = rng.randint(1, 3)
-    roots = rng.sample(pool, count)
+    roots = rng.sample(_LEFRANC_POOL, count)
     budget = 6
     exponents = []
     for i in range(count):
@@ -384,51 +386,169 @@ def _lefranc_instance(rng: random.Random):
     return L, list(zip(roots, exponents))
 
 
+def _corners(stairs: set, dim: int) -> list:
+    """Exponents outside a staircase whose every predecessor lies inside:
+    the places it can grow, and the minimal generators of its ideal."""
+    out = set()
+    for s in stairs:
+        for i in range(dim):
+            a = s[:i] + (s[i] + 1,) + s[i + 1 :]
+            if a not in stairs and all(
+                a[:j] + (a[j] - 1,) + a[j + 1 :] in stairs
+                for j in range(dim)
+                if a[j]
+            ):
+                out.add(a)
+    return sorted(out)
+
+
+def _staircase(rng: random.Random, dim: int, box: bool) -> set:
+    """A box of at most 6 exponents, or a staircase of 4 to 6 that is not
+    a box (its ideal is then not a complete intersection)."""
+    while True:
+        if box:
+            shape = [rng.randint(1, 3) for _ in range(dim)]
+            stairs = set(itertools.product(*(range(k) for k in shape)))
+            if len(stairs) <= 6:
+                return stairs
+            continue
+        stairs = {(0,) * dim}
+        size = rng.randint(4, 6)
+        while len(stairs) < size:
+            stairs.add(rng.choice(_corners(stairs, dim)))
+        # A box has one corner per axis; any other staircase has more.
+        if len(_corners(stairs, dim)) > dim:
+            return stairs
+
+
+def _fat_instance(rng: random.Random, dim: int):
+    """(Generators, root -> multiplicity) of a solve-fat shape in dim >= 2:
+    a fat point, a sheared staircase at one root, or one generator per
+    coordinate with several roots. The quotient dimension is at most 6."""
+    from math import prod
+
+    shape = rng.choice(("fat-point", "staircase", "multi-root"))
+    if shape != "multi-root":
+        c = tuple(rng.choice(_LEFRANC_POOL) for _ in range(dim))
+        stairs = _staircase(rng, dim, box=shape == "fat-point")
+        linear = _linear_factors(Exponential(c))
+        if shape == "staircase":
+            # A monomial ideal in the z_i - c_i has a solution space closed
+            # under p(x) -> p(-x); a sheared one need not. The shear
+            # z_i - c_i -> z_i - c_i - s (z_j - c_j)^2 for i != j, with j
+            # the staircase's tallest axis, is an automorphism, so c stays
+            # the only root, with the same multiplicity.
+            j = max(range(dim), key=lambda k: max(a[k] for a in stairs))
+            s = rng.choice((ONE, -ONE, GaussianRational(Fraction(1, 2))))
+            linear = [
+                f if k == j else f - linear[j] ** 2 * s for k, f in enumerate(linear)
+            ]
+        gens = []
+        for a in _corners(stairs, dim):
+            g = LaurentPoly.constant(dim, ONE)
+            for factor, e in zip(linear, a):
+                g = g * factor**e
+            gens.append(g)
+        return gens, {c: len(stairs)}
+    while True:
+        degrees = [rng.randint(1, 3) for _ in range(dim)]
+        if prod(degrees) <= 6 and max(degrees) > 1:
+            break
+    gens = []
+    per_coordinate = []
+    for i, n in enumerate(degrees):
+        count = rng.randint(2 if n == max(degrees) else 1, n)
+        cuts = sorted(rng.sample(range(1, n), count - 1))
+        exponents = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        roots = rng.sample(_LEFRANC_POOL, count)
+        z = LaurentPoly.variable(dim, i)
+        g = LaurentPoly.constant(dim, ONE)
+        for r, e in zip(roots, exponents):
+            g = g * (z - r) ** e
+        gens.append(g)
+        per_coordinate.append(list(zip(roots, exponents)))
+    known = {}
+    for combo in itertools.product(*per_coordinate):
+        known[tuple(r for r, _ in combo)] = prod(e for _, e in combo)
+    return gens, known
+
+
+def _solution_error(solution, measures: list, handle: IdealHandle, known: dict):
+    """The first disagreement of a solution with the known roots and
+    multiplicities, with the quotient dimension, or with the module
+    action; None when there is none."""
+    if solution.approximate:
+        return {"approximate": len(solution.approximate)}
+    found = {b.root.base: b.multiplicity for b in solution.bases}
+    if found != known:
+        return {
+            "multiplicities": {repr(Exponential(k)): v for k, v in found.items()},
+            "expected": {repr(Exponential(k)): v for k, v in known.items()},
+        }
+    qdim = handle.quotient_dimension()
+    if sum(found.values()) != qdim:
+        return {"solved_dimension": sum(found.values()), "quotient": qdim}
+    for basis in solution.bases:
+        for p in basis.polys:
+            f = ExpPolynomial.single(basis.root, p)
+            for mu in measures:
+                if not act(mu, f).is_zero():
+                    return {"root": repr(basis.root), "not_killed": repr(p)}
+    return None
+
+
+def _window_error(mu: Measure, solution, total: int, degree: int):
+    """In one variable: the solutions restricted to a window must have rank
+    total and span the window's exact nullspace, of that dimension."""
+    window = window_oracle([mu], default_window([mu], degree))
+    restricted = RowSpace(len(window.points))
+    vectors = []
+    for basis in solution.bases:
+        for p in basis.polys:
+            f = ExpPolynomial.single(basis.root, p)
+            vec = [f.evaluate(x) for x in window.points]
+            vectors.append(vec)
+            restricted.add(vec)
+    if restricted.rank != total:
+        return {"restriction_rank": restricted.rank, "expected": total}
+    if window.dimension != total:
+        return {"window_dimension": window.dimension, "expected": total}
+    oracle_space = RowSpace(len(window.points))
+    for vec in window.basis:
+        oracle_space.add(list(vec))
+    forward = all(oracle_space.contains(v) for v in vectors)
+    backward = all(restricted.contains(list(v)) for v in window.basis)
+    if not (forward and backward):
+        return {"forward": forward, "backward": backward}
+    return None
+
+
 def suite_lefranc(rng: random.Random, trials: int = 50) -> SuiteResult:
+    """Synthesis on Z^d, d = 1, 2, 3, against known roots and multiplicities.
+
+    Every basis polynomial must be killed by every measure under the
+    module action, and the multiplicities must add up to the quotient
+    dimension. In one variable the solutions must also match a window's
+    exact nullspace.
+    """
     result = SuiteResult("lefranc", trials)
     for _ in range(trials):
-        L, factorization = _lefranc_instance(rng)
-        total = sum(e for _, e in factorization)
-        mu = inverse_transform(L)
-        solution = solve_system([mu])
-        if solution.total_dimension != total or solution.approximate:
-            result.failures.append(
-                {
-                    "L": repr(L),
-                    "expected_dimension": total,
-                    "solved_dimension": solution.total_dimension,
-                }
+        dim = rng.randint(1, 3)
+        if dim == 1:
+            L, factorization = _lefranc_instance(rng)
+            gens = [L]
+            known = {(r,): e for r, e in factorization}
+        else:
+            gens, known = _fat_instance(rng, dim)
+        measures = [inverse_transform(g) for g in gens]
+        solution = solve_system(measures)
+        error = _solution_error(solution, measures, IdealHandle(gens), known)
+        if error is None and dim == 1:
+            error = _window_error(
+                measures[0], solution, sum(known.values()), max(known.values())
             )
-            continue
-        box = default_window([mu], max(e for _, e in factorization))
-        window = window_oracle([mu], box)
-        restricted = RowSpace(len(window.points))
-        vectors = []
-        for basis in solution.bases:
-            for p in basis.polys:
-                f = ExpPolynomial.single(basis.root, p)
-                vec = [f.evaluate(x) for x in window.points]
-                vectors.append(vec)
-                restricted.add(vec)
-        if restricted.rank != total:
-            result.failures.append(
-                {"L": repr(L), "restriction_rank": restricted.rank, "expected": total}
-            )
-            continue
-        if window.dimension != total:
-            result.failures.append(
-                {"L": repr(L), "window_dimension": window.dimension, "expected": total}
-            )
-            continue
-        oracle_space = RowSpace(len(window.points))
-        for vec in window.basis:
-            oracle_space.add(list(vec))
-        forward = all(oracle_space.contains(v) for v in vectors)
-        backward = all(restricted.contains(list(v)) for v in window.basis)
-        if not (forward and backward):
-            result.failures.append(
-                {"L": repr(L), "forward": forward, "backward": backward}
-            )
+        if error is not None:
+            result.failures.append({"I": [repr(g) for g in gens], **error})
     return result
 
 

@@ -4,8 +4,9 @@ Pipeline: exact square-free decomposition (Yun), numeric seeding of each
 square-free factor (mpmath), reconstruction of Gaussian-rational
 candidates verified by exact evaluation, and for the rest an exact
 rational Krawczyk contraction that certifies a unique root in a radius
-2^-40 box. Approximate roots are report-only; nothing downstream consumes
-them in exact computations.
+2^-40 box, scaled down for roots below 2^-24 in modulus. Approximate
+roots are report-only; nothing downstream consumes them in exact
+computations.
 """
 
 from __future__ import annotations
@@ -133,7 +134,13 @@ def _to_mpc(c: GaussianRational) -> mpmath.mpc:
 
 
 def _numeric_roots(coeffs: list) -> list:
-    with mpmath.workdps(60):
+    # polyroots finds roots to an absolute error of about 10^-dps, and
+    # every root has modulus at least |a_0| / (|a_0| + max |a_i|) (Cauchy).
+    # So past a ratio of 10^15 the precision grows with its digits, which
+    # keeps about 45 significant digits of the smallest root.
+    spread = max(abs(_to_mpc(c)) for c in coeffs[1:]) / abs(_to_mpc(coeffs[0]))
+    dps = 60 + max(0, int(mpmath.ceil(mpmath.log10(spread))) - 15)
+    with mpmath.workdps(dps):
         poly = [_to_mpc(c) for c in reversed(coeffs)]
         try:
             roots = mpmath.polyroots(poly, maxsteps=200, extraprec=200)
@@ -232,6 +239,29 @@ def _krawczyk_certifies(h: list, mid: GaussianRational, radius: Fraction) -> boo
     return k.inside(box)
 
 
+def _enclosure(value: mpmath.mpc) -> tuple:
+    """Centre and radius of the box to certify around a numeric root.
+
+    From modulus 2^-24 up, the centre is rounded to denominators of at
+    most 2^64 and the radius is 2^-40. Below, both scale by the power of
+    two that brings the modulus back to about 2^-24, so a tiny root keeps
+    a centre of its own, off zero, and a radius small against its size.
+    """
+    re = Fraction(mpmath.nstr(value.real, 40, strip_zeros=False))
+    im = Fraction(mpmath.nstr(value.imag, 40, strip_zeros=False))
+    norm = re * re + im * im
+    scale = Fraction(1)
+    if norm and norm < Fraction(1, 2**48):
+        # 2^(e - 1) < norm < 2^(e + 1), so the modulus is at least 2^((e - 1) // 2)
+        e = norm.numerator.bit_length() - norm.denominator.bit_length()
+        scale = Fraction(1, 2 ** (-24 - (e - 1) // 2))
+    mid = GaussianRational(
+        (re / scale).limit_denominator(2**64) * scale,
+        (im / scale).limit_denominator(2**64) * scale,
+    )
+    return mid, DEFAULT_RADIUS * scale
+
+
 def find_roots(coeffs: list):
     """All torus-relevant roots of a dense univariate polynomial.
 
@@ -274,16 +304,13 @@ def find_roots(coeffs: list):
             values = _numeric_roots(remaining)
         if degree(remaining) >= 1:
             for value in values:
-                mid = GaussianRational(
-                    Fraction(mpmath.nstr(value.real, 40, strip_zeros=False)).limit_denominator(2**64),
-                    Fraction(mpmath.nstr(value.imag, 40, strip_zeros=False)).limit_denominator(2**64),
-                )
-                certified = _krawczyk_certifies(remaining, mid, DEFAULT_RADIUS)
+                mid, radius = _enclosure(value)
+                certified = _krawczyk_certifies(remaining, mid, radius)
                 approx.append(
                     ApproxRoot(
                         re=mid.re,
                         im=mid.im,
-                        radius=DEFAULT_RADIUS,
+                        radius=radius,
                         multiplicity=mult,
                         certified=certified,
                     )

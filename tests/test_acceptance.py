@@ -69,7 +69,7 @@ def test_criterion_06_derivation_ideal(capsys):
 
 def test_criterion_07_lefranc(capsys):
     _suite_criterion(
-        capsys, 7, "one-variable synthesis at desk scale", "lefranc", budget=30.0
+        capsys, 7, "synthesis on Z^1, Z^2 and Z^3 at desk scale", "lefranc", budget=30.0
     )
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,32 @@ def test_numeric_filter_keeps_true_roots(capsys, monkeypatch, script, exact, app
     else:
         assert (len(doc["exact"]), len(doc["approximate"])) == (exact, approximate)
     assert doc["inconclusive"] is True
+
+
+@pytest.mark.parametrize(
+    "script, modulus",
+    [
+        ("roots z^2-10^-60\n", Fraction(1, 10**30)),
+        ("roots z^2-10^-300\n", Fraction(1, 10**150)),
+    ],
+)
+def test_tiny_roots_get_distinct_certified_enclosures(
+    capsys, monkeypatch, script, modulus
+):
+    code, out = run_cli(capsys, monkeypatch, script)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["exact"] == []
+    centres = []
+    for a in doc["approximate"]:
+        (coord,) = a["coordinates"]
+        re, im, radius = (Fraction(coord[k]) for k in ("re", "im", "radius"))
+        assert coord["certified"] is True
+        assert max(abs(re), abs(im)) > radius  # the box leaves out 0
+        assert radius < modulus / 2**16
+        assert abs(abs(re) - modulus) < radius and im == 0
+        centres.append(re)
+    assert len(centres) == 2 and centres[0] < 0 < centres[1]
 
 
 def test_solve_keeps_roots_behind_a_coarse_candidate(capsys, monkeypatch):

@@ -130,3 +130,63 @@ def test_scan_finds_an_unreferenced_private_def(tmp_path):
         ("a.py", 5, "_recursive"),
         ("a.py", 7, "_Hidden"),
     ]
+
+
+def _is_assertion_error(exc) -> bool:
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def inline_checks(path: Path) -> list:
+    """(qualified name of the enclosing definition, line) of each
+    `raise AssertionError` and each assert statement in a module."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Assert) or (
+                isinstance(child, ast.Raise) and _is_assertion_error(child.exc)
+            ):
+                out.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return out
+
+
+# The stabilization guards: each marks a bound that a theorem says is
+# never reached, not a second route to an answer.
+STABILIZATION_GUARDS = {
+    ("ideals.py", "IdealHandle.local_dual_space"),
+    ("ideals.py", "vanishing_order"),
+}
+
+
+def test_no_second_routes_by_assertion():
+    found = sorted(
+        (path.name, scope, line)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line in inline_checks(path)
+    )
+    assert [f for f in found if f[:2] not in STABILIZATION_GUARDS] == []
+
+
+def test_scan_finds_inline_checks(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def solve(x):\n"
+        "    if x:\n"
+        "        raise AssertionError('recheck failed')\n"
+        "    return x\n"
+        "class Handle:\n"
+        "    def method(self):\n"
+        "        assert self\n"
+        "        raise AssertionError\n"
+        "def other():\n"
+        "    raise ValueError('not a check')\n"
+    )
+    assert inline_checks(module) == [("solve", 3), ("Handle.method", 7), ("Handle.method", 8)]

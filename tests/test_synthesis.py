@@ -12,7 +12,7 @@ from synthkit import (
     Measure,
     Polynomial,
 )
-from synthkit import ideals, linalg
+from synthkit import exppoly, ideals, linalg, suites, synthesis
 from synthkit.errors import (
     DegreeBoundRequired,
     SpuriousRoot,
@@ -138,6 +138,29 @@ def test_solve_system_builds_one_groebner_basis(monkeypatch):
     assert len(solution.bases) == 4
     assert solution.total_dimension == 6
     assert builds == [2]
+
+
+def test_solve_system_makes_no_action_call(monkeypatch):
+    # solve_at_root has one route; the lefranc suite checks its answers by
+    # the module action.
+    calls = []
+    original = exppoly.act
+
+    def spy(mu, f):
+        calls.append(f)
+        return original(mu, f)
+
+    assert not hasattr(synthesis, "act")
+    for module in (exppoly, suites):
+        monkeypatch.setattr(module, "act", spy)
+    mus = [
+        inverse_transform((Z1 - 1) * (Z1 - 2)),
+        inverse_transform((Z2 + 1) * (Z2 - 3) ** 2),
+    ]
+    assert solve_system(mus).total_dimension == 6
+    assert calls == []
+    assert suites.run_suite("lefranc", seed=1, trials=2).passed
+    assert calls
 
 
 @pytest.mark.parametrize(
